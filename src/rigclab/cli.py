@@ -62,11 +62,11 @@ def _fail(path: str, message: str) -> None:
 def _parse_pmf(obj, path: str) -> Pmf:
     if not isinstance(obj, dict) or not obj:
         _fail(path, "expected a nonempty object")
-    if "poisson" in obj:
-        return Pmf.poisson(float(obj["poisson"]))
     try:
+        if "poisson" in obj:
+            return Pmf.poisson(float(obj["poisson"]))
         return Pmf({int(k): float(v) for k, v in obj.items()})
-    except (ValueError, LabError) as exc:
+    except (TypeError, ValueError, LabError) as exc:
         _fail(path, str(exc))
 
 
@@ -127,6 +127,11 @@ class Experiment:
                 _fail("inputs.l_pmf", "one of l_pmf or l_degrees is required")
             if self.catalog is None and self.communities is None:
                 _fail("inputs.catalog", "one of catalog or communities is required")
+        if mode in SAMPLING_MODES and self.l_pmf is not None and self.l_pmf.prob(0) > 0.0:
+            _fail(
+                "inputs.l_pmf",
+                f"the law puts mass at 0, but mode {mode!r} samples degrees, which must be >= 1",
+            )
 
         self.seed = cfg.get("seed")
         if mode in SAMPLING_MODES and self.seed is None:
@@ -247,13 +252,13 @@ def _job_percolate(job: tuple) -> tuple:
     bcm = generate_bcm(params, stream(exp.seed, replica, ROLE_MATCH))
     rigc = project_rigc(bcm, params.communities)
     percolated = perc_mod.percolate_rigc_graph(rigc, pi, stream(exp.seed, replica, ROLE_PERC))
-    stats_a = giant_stats_rigc(percolated, params)
+    stats_a = giant_stats_rigc(percolated)
 
     pieces = perc_mod.build_com_pi(params.communities, pi, stream(exp.seed, replica, ROLE_COM_PI))
     params_b = build_params(params.l_degrees, pieces)
     bcm_b = generate_bcm(params_b, stream(exp.seed, replica, ROLE_MATCH_B))
     rigc_b = project_rigc(bcm_b, params_b.communities)
-    stats_b = giant_stats_rigc(rigc_b, params_b)
+    stats_b = giant_stats_rigc(rigc_b)
 
     rows = [
         (exp.seed, replica, params.n_l, pi, "graph", stats_a.c1_fraction,
@@ -270,9 +275,7 @@ def _job_sweep(job: tuple) -> tuple:
     params = exp.params_for(replica)
     bcm = generate_bcm(params, stream(exp.seed, replica, ROLE_MATCH))
     rigc = project_rigc(bcm, params.communities)
-    sweep = perc_mod.harris_sweep(
-        rigc, list(exp.pi_grid), stream(exp.seed, replica, ROLE_SWEEP), params
-    )
+    sweep = perc_mod.harris_sweep(rigc, list(exp.pi_grid), stream(exp.seed, replica, ROLE_SWEEP))
     rows = [
         (pi, s.c1_fraction, s.c2_fraction, s.edges_in_giant_per_N, exp.seed, replica, params.n_l)
         for pi, s in zip(exp.pi_grid, sweep)

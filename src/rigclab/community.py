@@ -282,11 +282,11 @@ class PercolationProfile:
     mean_component_count: float
 
 
-def split_components(n: int, edges: Sequence[tuple[int, int]]) -> list[CommunityGraph]:
-    """Connected components as fresh community graphs.
+def component_members(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Vertex sets of the connected components of a graph on 1..n.
 
-    Component vertices are renumbered 1..m preserving the original label
-    order, so the output is deterministic for canonicalization.
+    Each member list ascends in the original labels, and the lists are
+    ordered by their smallest member.
     """
     parent = list(range(n + 1))
 
@@ -303,8 +303,17 @@ def split_components(n: int, edges: Sequence[tuple[int, int]]) -> list[Community
     groups: dict[int, list[int]] = {}
     for v in range(1, n + 1):
         groups.setdefault(find(v), []).append(v)
+    return list(groups.values())
+
+
+def split_components(n: int, edges: Sequence[tuple[int, int]]) -> list[CommunityGraph]:
+    """Connected components as fresh community graphs.
+
+    Component vertices are renumbered 1..m preserving the original label
+    order, so the output is deterministic for canonicalization.
+    """
     out = []
-    for members in sorted(groups.values()):
+    for members in component_members(n, edges):
         rank = {old: i + 1 for i, old in enumerate(members)}
         sub = [(rank[u], rank[v]) for u, v in edges if u in rank and v in rank]
         out.append(CommunityGraph(len(members), sub))

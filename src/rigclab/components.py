@@ -15,6 +15,9 @@ from scipy.sparse.csgraph import connected_components as _cc
 
 from .model import BcmGraph, ModelParams, RigcGraph
 
+#: the joint law is counted in a dense table while its codes stay below this many per vertex
+_DENSE_CODES_PER_VERTEX = 4
+
 
 def _labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     if len(u) == 0:
@@ -92,9 +95,11 @@ def giant_stats_rigc(
 ) -> GiantStats:
     """Largest-component statistics of the projected graph.
 
-    ``joint_in_giant`` maps (membership count, projected degree) to the
-    fraction of all vertices carrying those values inside the giant; it needs
-    the generating parameters and stays empty without them.
+    ``params`` only fills ``joint_in_giant``, which maps (membership count,
+    projected degree) to the fraction of all vertices carrying those values
+    inside the giant, in ascending key order; without ``params`` it stays
+    empty.  The CLI's ``giant`` mode requests it for ``joint.csv``; ``sweep``
+    and ``percolate`` report no joint law and do not.
     """
     if labels is None:
         labels = rigc_components(graph)
@@ -107,13 +112,21 @@ def giant_stats_rigc(
     joint: dict[tuple[int, int], float] = {}
     if params is not None:
         mask = labels == giant
-        pdeg = graph.projected_degrees()
         ks = np.asarray(params.l_degrees)[mask]
-        ds = pdeg[mask]
-        pairs, counts = np.unique(np.stack([ks, ds]), axis=1, return_counts=True)
+        ds = graph.projected_degrees()[mask]
+        width = int(ds.max()) + 1
+        codes = ks * width + ds
+        if int(codes.max()) < _DENSE_CODES_PER_VERTEX * n:
+            counts = np.bincount(codes)
+            codes = np.flatnonzero(counts)
+            counts = counts[codes]
+        else:
+            # heavy-tailed degrees: a dense (k, d) table would outgrow the graph
+            codes, counts = np.unique(codes, return_counts=True)
+        k_of, d_of = np.divmod(codes, width)
         joint = {
-            (int(k), int(d)): int(c) / n
-            for k, d, c in zip(pairs[0], pairs[1], counts)
+            (k, d): c / n
+            for k, d, c in zip(k_of.tolist(), d_of.tolist(), counts.tolist())
         }
 
     in_giant = labels[graph.edge_u] == giant

@@ -16,6 +16,7 @@ import numpy as np
 from .community import (
     CommunityCatalog,
     CommunityGraph,
+    component_members,
     percolate_enumerate,
     percolate_sample,
     split_components,
@@ -185,7 +186,9 @@ def harris_sweep(
 
     A single uniform variate per edge instance realizes percolation at every
     pi simultaneously, so the giant fraction is pointwise nondecreasing along
-    the (ascending) grid.
+    the (ascending) grid.  ``params`` only fills each point's
+    ``joint_in_giant`` (see ``giant_stats_rigc``); the CLI's ``sweep`` mode
+    reports no joint law and does not pass it.
     """
     grid = list(pi_grid)
     if any(not 0.0 <= x <= 1.0 for x in grid):
@@ -238,9 +241,15 @@ def sizebiased_comsize_check(
     for a in picks:
         g = communities[a]
         root = int(rng.integers(1, g.n + 1))
-        for comp_members in _component_membership(g, pi, rng):
-            if root in comp_members:
-                k = len(comp_members) - 1
+        if pi >= 1.0:
+            kept = g.edges
+        elif pi <= 0.0:
+            kept = ()
+        else:
+            kept = [e for e in g.edges if rng.random() < pi]
+        for members in component_members(g.n, kept):
+            if root in members:
+                k = len(members) - 1
                 counts[k] = counts.get(k, 0) + 1
                 break
     law_b = {k: c / replicas for k, c in counts.items()}
@@ -249,26 +258,3 @@ def sizebiased_comsize_check(
     tv = 0.5 * sum(abs(law_a.get(k, 0.0) - law_b.get(k, 0.0)) for k in support)
     return SizeBiasedCheck(tv_distance=tv, law_from_catalog=law_a, law_from_roles=law_b)
 
-
-def _component_membership(
-    g: CommunityGraph, pi: float, rng: np.random.Generator
-) -> list[set[int]]:
-    kept = [e for e in g.edges if rng.random() < pi] if 0.0 < pi < 1.0 else (
-        list(g.edges) if pi >= 1.0 else []
-    )
-    parent = list(range(g.n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in kept:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    groups: dict[int, set[int]] = {}
-    for v in range(1, g.n + 1):
-        groups.setdefault(find(v), set()).add(v)
-    return list(groups.values())

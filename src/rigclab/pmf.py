@@ -26,6 +26,9 @@ NORMALIZATION_SLACK = 1e-9
 #: stored weights must sum to 1 within this tolerance after construction
 WEIGHT_SUM_TOL = 1e-12
 
+#: largest accepted Poisson mean; the support grows like its square root
+POISSON_MAX_MEAN = 1e6
+
 _INVERSE_TOL = 1e-12
 _INVERSE_MAX_ITER = 200
 
@@ -113,22 +116,36 @@ class Pmf:
 
     @classmethod
     def poisson(cls, mean: float, tail: float = 1e-12) -> "Pmf":
-        """Poisson(mean) truncated once cumulative mass reaches 1 - tail.
+        """Poisson(mean) with both tails cut where each holds under tail / 2.
 
-        Downstream formulas are absolutely convergent, so the truncation
-        error stays below every acceptance tolerance in use.
+        Terms grow outward from the mode, whose weight is computed in log
+        space, so no term underflows before the cut.  Past the mode the term
+        ratio r falls monotonically, so a tail after a term t weighs at most
+        t r / (1 - r); that bound places each cut.  Downstream formulas are
+        absolutely convergent, so the truncation error stays below every
+        acceptance tolerance in use.
         """
-        if mean <= 0:
-            raise OutOfDomain(f"poisson mean must be positive, got {mean}")
-        entries = {}
-        term = math.exp(-mean)
-        cum = 0.0
-        k = 0
-        while cum < 1.0 - tail:
-            entries[k] = term
-            cum += term
+        if not (math.isfinite(mean) and 0.0 < mean <= POISSON_MAX_MEAN):
+            raise OutOfDomain(f"poisson mean must lie in (0, {POISSON_MAX_MEAN:g}], got {mean}")
+        mode = math.floor(mean)
+        peak = math.exp(mode * math.log(mean) - mean - math.lgamma(mode + 1))
+        entries = {mode: peak}
+        term, k = peak, mode
+        while True:  # upper tail: ratio mean / (k + 1)
+            ratio = mean / (k + 1)
+            if term * ratio / (1.0 - ratio) < 0.5 * tail:
+                break
+            term *= ratio
             k += 1
-            term *= mean / k
+            entries[k] = term
+        term, k = peak, mode
+        while k > 0:  # lower tail: ratio k / mean
+            ratio = k / mean
+            if ratio < 1.0 and term * ratio / (1.0 - ratio) < 0.5 * tail:
+                break
+            term *= ratio
+            k -= 1
+            entries[k] = term
         total = math.fsum(entries.values())
         return cls({k: w / total for k, w in entries.items()})
 

@@ -62,6 +62,58 @@ def test_config_validation_exit_2(tmp_path, capsys):
     assert run(missing, mode="theory") == 2
 
 
+SAMPLED = dict(target_n=100, seed=1)
+K3_CATALOG = [{"graph": {"complete": 3}, "weight": 1.0}]
+NOT_A_MEAN = "inputs.l_pmf"
+MASS_AT_0 = "must be >= 1"
+
+
+@pytest.mark.parametrize(
+    "mode,l_pmf,extra,message",
+    [
+        pytest.param("theory", {"poisson": "abc"}, {}, NOT_A_MEAN, id="poisson-abc"),
+        pytest.param("theory", {"poisson": "nan"}, {}, NOT_A_MEAN, id="poisson-nan-string"),
+        pytest.param("theory", {"poisson": float("nan")}, {}, NOT_A_MEAN, id="poisson-nan"),
+        pytest.param("theory", {"poisson": -1}, {}, NOT_A_MEAN, id="poisson-negative"),
+        pytest.param("theory", {"poisson": None}, {}, NOT_A_MEAN, id="poisson-null"),
+        pytest.param("generate", {"poisson": 2.0}, SAMPLED, MASS_AT_0, id="generate-poisson"),
+        pytest.param("giant", {"poisson": 2.0}, SAMPLED, MASS_AT_0, id="giant-poisson"),
+        pytest.param("explore", {"poisson": 2.0}, SAMPLED, MASS_AT_0, id="explore-poisson"),
+        pytest.param(
+            "percolate", {"poisson": 2.0}, dict(SAMPLED, pi=0.5), MASS_AT_0, id="percolate-poisson"
+        ),
+        pytest.param(
+            "sweep", {"poisson": 2.0}, dict(SAMPLED, pi_grid=[0.5]), MASS_AT_0, id="sweep-poisson"
+        ),
+        pytest.param("giant", {"0": 0.5, "1": 0.5}, SAMPLED, MASS_AT_0, id="giant-mass-at-0"),
+    ],
+)
+def test_bad_membership_law_exit_2(tmp_path, capsys, mode, l_pmf, extra, message):
+    cfg = write_config(
+        tmp_path,
+        "cfg.json",
+        inputs={"l_pmf": l_pmf, "catalog": K3_CATALOG},
+        out_dir=str(tmp_path / "out"),
+        **extra,
+    )
+    assert run(cfg, mode=mode) == 2
+    err = capsys.readouterr().err
+    assert "inputs.l_pmf" in err
+    assert message in err
+
+
+@pytest.mark.parametrize("mode", ["theory", "pi-c"])
+def test_zero_mass_law_accepted_without_sampling(tmp_path, mode):
+    cfg = write_config(
+        tmp_path,
+        "cfg.json",
+        inputs={"l_pmf": {"poisson": 2.0}, "catalog": K3_CATALOG},
+        tol=1e-3,
+        out_dir=str(tmp_path / "out"),
+    )
+    assert run(cfg, mode=mode) == 0
+
+
 def test_giant_mode_determinism(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     base = dict(inputs=ESTAR_INPUTS, target_n=2_000, replicas=2, seed=7)

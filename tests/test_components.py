@@ -1,10 +1,14 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from rigclab import (
     BcmGraph,
+    CommunityCatalog,
+    CommunityGraph,
+    Pmf,
     bcm_components,
     build_params,
     complete_graph,
@@ -100,6 +104,71 @@ def test_joint_sums_to_c1(p_estar, cat_estar):
     stats = giant_stats_rigc(rigc, params)
     assert sum(stats.joint_in_giant.values()) == pytest.approx(stats.c1_fraction, abs=1e-12)
     assert stats.edges_in_giant_per_N <= rigc.total_multiplicity() / params.n_l + 1e-12
+
+
+def joint_law_oracle(l_degrees, multiplicities, n):
+    """(k, d) law of the largest component, from the edge dictionary alone.
+
+    Union-find over the edges, degrees summed per unit of multiplicity (a
+    self-loop adds 2), and ties between largest components go to the one
+    holding the lowest vertex id.
+    """
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    degree = [0] * n
+    for (u, v), m in multiplicities.items():
+        degree[u] += m
+        degree[v] += m
+        parent[find(u)] = find(v)
+    members = {}
+    for v in range(n):
+        members.setdefault(find(v), []).append(v)
+    giant = max(members.values(), key=lambda vs: (len(vs), -vs[0]))
+    counts = Counter((int(l_degrees[v]), degree[v]) for v in giant)
+    return {key: counts[key] / n for key in sorted(counts)}
+
+
+def mixed_instance():
+    p = Pmf({1: 0.4, 2: 0.3, 4: 0.3})
+    catalog = CommunityCatalog(
+        [
+            (complete_graph(2), 0.3),
+            (complete_graph(3), 0.3),
+            (path_graph(4), 0.2),
+            (complete_graph(4), 0.2),
+        ]
+    )
+    return sample_params(p, catalog, 300, philox(11))
+
+
+JOINT_INSTANCES = {
+    # four shapes and three membership counts; has self-loops and multi-edges
+    "mixed": mixed_instance,
+    # one vertex in 1000 triangles: the (k, d) codes spread far past N
+    "hub": lambda: build_params([1000] + [1] * 2000, [complete_graph(3)] * 1000),
+    # singleton communities only: no edges, so every d is 0
+    "edgeless": lambda: build_params([1, 2, 1], [CommunityGraph(1, [])] * 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JOINT_INSTANCES))
+def test_joint_law_matches_oracle(name):
+    params = JOINT_INSTANCES[name]()
+    rigc = project_rigc(generate_bcm(params, philox(11, 0, 1)), params.communities)
+    mult = rigc.multiplicities()
+    if name == "mixed":
+        assert any(u == v for u, v in mult), "instance lost its self-loops"
+        assert any(m > 1 for m in mult.values()), "instance lost its multi-edges"
+    if name == "edgeless":
+        assert mult == {}
+    expected = joint_law_oracle(params.l_degrees.tolist(), mult, params.n_l)
+    joint = giant_stats_rigc(rigc, params).joint_in_giant
+    assert list(joint.items()) == list(expected.items())
 
 
 def test_bcm_degk_sums(p_estar, cat_estar):

@@ -181,3 +181,21 @@ def test_poisson_truncation():
     assert p.mean() == pytest.approx(2.5, abs=1e-9)
     ref = math.exp(-2.5)
     assert p.prob(0) == pytest.approx(ref, rel=1e-10)
+
+
+def test_poisson_large_mean_terminates():
+    from scipy.stats import poisson
+
+    p = Pmf.poisson(800.0)
+    assert math.fsum(p.weights) == pytest.approx(1.0, abs=1e-12)
+    assert p.mean() == pytest.approx(800.0, abs=1e-6)
+    for k in (700, 800, 900):
+        assert p.prob(k) == pytest.approx(poisson.pmf(k, 800.0), rel=1e-9)
+    # both cut tails together hold at most 1e-12 of the mass
+    assert poisson.cdf(p.values[0] - 1, 800.0) + poisson.sf(p.values[-1], 800.0) < 1e-12
+
+
+@pytest.mark.parametrize("mean", [0.0, -1.0, math.nan, math.inf, 1e300])
+def test_poisson_rejects_bad_mean(mean):
+    with pytest.raises(OutOfDomain):
+        Pmf.poisson(mean)
