@@ -59,6 +59,27 @@ def _fail(path: str, message: str) -> None:
     raise ConfigError(f"{path}: {message}")
 
 
+def _int(value, path: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        _fail(path, f"expected an integer, got {value!r}")
+
+
+def _float(value, path: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        _fail(path, f"expected a number, got {value!r}")
+
+
+def _check_numbers(values, path: str) -> None:
+    if not isinstance(values, list):
+        _fail(path, "expected a list of numbers")
+    for i, value in enumerate(values):
+        _float(value, f"{path}[{i}]")
+
+
 def _parse_pmf(obj, path: str) -> Pmf:
     if not isinstance(obj, dict) or not obj:
         _fail(path, "expected a nonempty object")
@@ -88,10 +109,12 @@ def _parse_catalog(obj, path: str) -> CommunityCatalog:
         _fail(path, "expected a nonempty list of {graph, weight}")
     items = []
     for i, it in enumerate(obj):
+        if not isinstance(it, dict):
+            _fail(f"{path}[{i}]", f"expected an object {{graph, weight}}, got {it!r}")
         if "weight" not in it:
             _fail(f"{path}[{i}].weight", "required")
         graph = _parse_graph(it.get("graph", it), f"{path}[{i}].graph")
-        items.append((graph, float(it["weight"])))
+        items.append((graph, _float(it["weight"], f"{path}[{i}].weight")))
     try:
         return CommunityCatalog(items)
     except LabError as exc:
@@ -113,6 +136,11 @@ class Experiment:
         inputs = cfg.get("inputs", {})
         self.l_pmf = _parse_pmf(inputs["l_pmf"], "inputs.l_pmf") if "l_pmf" in inputs else None
         self.l_degrees = inputs.get("l_degrees")
+        if self.l_degrees is not None:
+            if not isinstance(self.l_degrees, list) or not self.l_degrees:
+                _fail("inputs.l_degrees", "expected a nonempty list of integers")
+            if min(_int(d, "inputs.l_degrees") for d in self.l_degrees) < 1:
+                _fail("inputs.l_degrees", "every degree must be >= 1")
         self.catalog = (
             _parse_catalog(inputs["catalog"], "inputs.catalog") if "catalog" in inputs else None
         )
@@ -136,19 +164,27 @@ class Experiment:
         self.seed = cfg.get("seed")
         if mode in SAMPLING_MODES and self.seed is None:
             _fail("seed", "required whenever sampling is involved")
-        self.replicas = int(cfg.get("replicas", 1))
+        if self.seed is not None:
+            self.seed = _int(self.seed, "seed")
+            if self.seed < 0:
+                _fail("seed", "must be >= 0")
+        self.replicas = _int(cfg.get("replicas", 1), "replicas")
         if self.replicas < 1:
             _fail("replicas", "must be >= 1")
         self.target_n = cfg.get("target_n")
+        if self.target_n is not None:
+            self.target_n = _int(self.target_n, "target_n")
         if mode in SAMPLING_MODES and self.l_degrees is None and self.target_n is None:
             _fail("target_n", "required when degrees are sampled from a pmf")
 
         self.pi = cfg.get("pi")
         if mode == "percolate" and self.pi is None:
             _fail("pi", "required for percolate mode")
-        if self.pi is not None and not 0.0 <= float(self.pi) <= 1.0:
+        if self.pi is not None and not 0.0 <= _float(self.pi, "pi") <= 1.0:
             _fail("pi", "must lie in [0, 1]")
         self.pi_grid = cfg.get("pi_grid")
+        if self.pi_grid is not None:
+            _check_numbers(self.pi_grid, "pi_grid")
         if mode == "sweep":
             if not self.pi_grid:
                 _fail("pi_grid", "required for sweep mode")
@@ -157,11 +193,17 @@ class Experiment:
         if mode not in ("percolate", "sweep") and (self.pi is not None or self.pi_grid):
             _fail("pi", f"retention parameters are not used by mode {mode!r}")
 
-        self.tol = float(cfg.get("tol", 1e-6))
+        self.tol = _float(cfg.get("tol", 1e-6), "tol")
+        # t0, c_grid and pi_grid keep their JSON values: CSV rows print them as given
         self.t0 = cfg.get("t0")
+        if self.t0 is not None:
+            _float(self.t0, "t0")
         self.c_grid = cfg.get("c_grid") or [round(0.1 + 0.05 * i, 10) for i in range(19)]
+        _check_numbers(self.c_grid, "c_grid")
         self.d_max = cfg.get("d_max")
-        self.threads = int(cfg.get("threads", 1))
+        if self.d_max is not None:
+            _int(self.d_max, "d_max")
+        self.threads = _int(cfg.get("threads", 1), "threads")
         self.out_dir = Path(cfg.get("out_dir", "out"))
         self.tolerances = cfg.get("tolerances", {})
         self.theory_report = cfg.get("theory_report")
@@ -185,7 +227,7 @@ class Experiment:
         if self.l_pmf is None or self.catalog is None:
             _fail("inputs", "explicit degrees need explicit communities (and vice versa)")
         rng = stream(self.seed, replica, ROLE_PARAMS)
-        return sample_params(self.l_pmf, self.catalog, int(self.target_n), rng)
+        return sample_params(self.l_pmf, self.catalog, self.target_n, rng)
 
 
 # -- output helpers ---------------------------------------------------------------
@@ -203,10 +245,58 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
+    """Write small mixed tables row by row; their cells can be JSON ints from
+    the config (``c_grid``, ``pi_grid``), which print without ``.0``."""
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(x) for x in row) for row in rows)
     path.write_text("\n".join(lines) + "\n")
+
+
+def _int_cells(col: np.ndarray) -> np.ndarray:
+    """(n, width) uint8 matrix of each integer's decimal text, NUL-padded."""
+    signed = col.astype(np.int64)
+    neg = signed < 0
+    # the int64 minimum negates to itself, which wraps to 2**63 as uint64
+    mag = np.where(neg, -signed, signed).astype(np.uint64)
+    width = len(str(int(mag.max()))) if len(mag) else 1
+    cells = np.empty((len(col), width + 1), dtype=np.uint8)
+    cells[:, 0] = np.where(neg, ord("-"), 0)
+    for j in range(width):
+        cells[:, j + 1] = mag // np.uint64(10 ** (width - 1 - j)) % np.uint64(10)
+    digits = cells[:, 1:]
+    significant = np.logical_or.accumulate(digits != 0, axis=1)
+    significant[:, -1] = True  # zero keeps its last digit
+    digits[:] = np.where(significant, digits + ord("0"), 0)
+    return cells
+
+
+def _float_cells(col: np.ndarray) -> np.ndarray:
+    """(n, width) uint8 matrix of each float's shortest round-trip repr, NUL-padded."""
+    packed = np.array(list(map(repr, col.tolist())), dtype=bytes)
+    return packed.view(np.uint8).reshape(len(col), packed.dtype.itemsize)
+
+
+def _write_columns(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write equal-length numeric columns as the bytes ``_write_csv`` gives for
+    the same values as ``.tolist()`` rows, formatting a column at a time."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    n = len(columns[0])
+    parts = []
+    for i, col in enumerate(columns):
+        col = np.asarray(col)
+        if col.dtype.kind in "iu" and np.can_cast(col.dtype, np.int64):
+            parts.append(_int_cells(col))
+        elif col.dtype.kind == "f":
+            parts.append(_float_cells(col))
+        else:
+            raise TypeError(f"column {header[i]!r} has unsupported dtype {col.dtype}")
+        sep = "\n" if i == len(columns) - 1 else ","
+        parts.append(np.full((n, 1), ord(sep), dtype=np.uint8))
+    body = np.concatenate(parts, axis=1).ravel()
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        fh.write(body[body != 0].tobytes())
 
 
 def _map_replicas(fn, jobs: list, threads: int) -> list:
@@ -300,24 +390,25 @@ def _job_explore(job: tuple) -> tuple:
     taus = explore_mod.hitting_times(traj, exp.c_grid)
     tau_lim = [theory_mod.hitting_time_curve(inputs, c) for c in exp.c_grid]
 
-    traj_rows = list(
-        zip(
-            traj.times.tolist(),
-            traj.kinds.tolist(),
-            traj.living.tolist(),
-            traj.sleeping.tolist(),
-            traj.sleeping_hat.tolist(),
-            traj.active.tolist(),
-            traj.waiting.tolist(),
-        )
+    out = exp.out_dir
+    _write_columns(
+        out / f"trajectory_r{replica}.csv",
+        ["t", "step", "L", "S", "S_hat", "A", "W"],
+        [traj.times, traj.kinds, traj.living, traj.sleeping, traj.sleeping_hat, traj.active,
+         traj.waiting],
     )
-    comp_rows = [
-        (r.start_event, r.end_event, r.l_vertices, r.r_vertices, r.edges)
-        for r in traj.component_records
-    ]
-    hit_rows = list(zip(exp.c_grid, taus.tolist(), tau_lim))
-    summary = (exp.seed, replica, params.n_l, t0, sup[0], sup[1], sup[2])
-    return replica, traj_rows, comp_rows, hit_rows, summary
+    _write_csv(
+        out / f"components_r{replica}.csv",
+        ["start_event", "end_event", "l_vertices", "r_vertices", "edges"],
+        [(r.start_event, r.end_event, r.l_vertices, r.r_vertices, r.edges)
+         for r in traj.component_records],
+    )
+    _write_csv(
+        out / f"hitting_r{replica}.csv",
+        ["c", "tau", "tau_theory"],
+        list(zip(exp.c_grid, taus.tolist(), tau_lim)),
+    )
+    return replica, (exp.seed, replica, params.n_l, t0, sup[0], sup[1], sup[2])
 
 
 def _job_generate(job: tuple) -> tuple:
@@ -326,14 +417,19 @@ def _job_generate(job: tuple) -> tuple:
     params = exp.params_for(replica)
     bcm = generate_bcm(params, stream(exp.seed, replica, ROLE_MATCH))
     rigc = project_rigc(bcm, params.communities)
-    edge_rows = list(
-        zip(rigc.edge_u.tolist(), rigc.edge_v.tolist(), rigc.edge_mult.tolist())
+    _write_columns(
+        exp.out_dir / f"rigc_edges_r{replica}.csv",
+        ["u", "v", "mult"],
+        [rigc.edge_u, rigc.edge_v, rigc.edge_mult],
     )
-    params_obj = {
-        "l_degrees": params.l_degrees.tolist(),
-        "communities": [g.to_json_obj() for g in params.communities],
-    }
-    return replica, edge_rows, params_obj
+    _write_json(
+        exp.out_dir / f"params_r{replica}.json",
+        {
+            "l_degrees": params.l_degrees.tolist(),
+            "communities": [g.to_json_obj() for g in params.communities],
+        },
+    )
+    return (replica,)
 
 
 # -- mode runners ------------------------------------------------------------------
@@ -420,38 +516,17 @@ def _run_pi_c(exp: Experiment) -> int:
 def _run_explore(exp: Experiment) -> int:
     jobs = [(exp.cfg, exp.mode, r) for r in range(exp.replicas)]
     results = _map_replicas(_job_explore, jobs, exp.threads)
-    summaries = []
-    for replica, traj_rows, comp_rows, hit_rows, summary in results:
-        _write_csv(
-            exp.out_dir / f"trajectory_r{replica}.csv",
-            ["t", "step", "L", "S", "S_hat", "A", "W"],
-            traj_rows,
-        )
-        _write_csv(
-            exp.out_dir / f"components_r{replica}.csv",
-            ["start_event", "end_event", "l_vertices", "r_vertices", "edges"],
-            comp_rows,
-        )
-        _write_csv(
-            exp.out_dir / f"hitting_r{replica}.csv",
-            ["c", "tau", "tau_theory"],
-            hit_rows,
-        )
-        summaries.append(summary)
     _write_csv(
         exp.out_dir / "explore_summary.csv",
         ["seed", "replica", "N", "t0", "sup_living", "sup_sleeping_hat", "sup_active_hat"],
-        summaries,
+        [summary for _, summary in results],
     )
     return 0
 
 
 def _run_generate(exp: Experiment) -> int:
     jobs = [(exp.cfg, exp.mode, r) for r in range(exp.replicas)]
-    results = _map_replicas(_job_generate, jobs, exp.threads)
-    for replica, edge_rows, params_obj in results:
-        _write_csv(exp.out_dir / f"rigc_edges_r{replica}.csv", ["u", "v", "mult"], edge_rows)
-        _write_json(exp.out_dir / f"params_r{replica}.json", params_obj)
+    _map_replicas(_job_generate, jobs, exp.threads)
     return 0
 
 
@@ -486,18 +561,24 @@ def compare(theory_path: Path, empirical_path: Path, tolerances: dict | None = N
     if len(text) < 2:
         raise KeyMismatch(f"{empirical_path} carries no data rows")
     header = text[0].split(",")
-    cols: dict[str, list[float]] = {name: [] for name in header}
-    for line in text[1:]:
-        for name, cell in zip(header, line.split(",")):
-            try:
-                cols[name].append(float(cell))
-            except ValueError:
-                pass
-    tol = dict(DEFAULT_TOLERANCES)
-    tol.update(tolerances or {})
-    shared = [k for k in expected if k in cols and cols[k]]
+    shared = [k for k in expected if k in header]
     if not shared:
         raise KeyMismatch("no quantity appears in both the report and the CSV")
+    # only the shared columns are parsed; other columns may hold text (a route name)
+    cols: dict[str, list[float]] = {key: [] for key in shared}
+    index = {key: header.index(key) for key in shared}
+    for lineno, line in enumerate(text[1:], start=2):
+        cells = line.split(",")
+        for key, i in index.items():
+            cell = cells[i] if i < len(cells) else ""
+            try:
+                cols[key].append(float(cell))
+            except ValueError:
+                raise KeyMismatch(
+                    f"{empirical_path}, line {lineno}: column {key!r} holds {cell!r}, not a number"
+                ) from None
+    tol = dict(DEFAULT_TOLERANCES)
+    tol.update(tolerances or {})
     out = {}
     for key in sorted(shared):
         mean = sum(cols[key]) / len(cols[key])
@@ -511,6 +592,9 @@ def compare(theory_path: Path, empirical_path: Path, tolerances: dict | None = N
 
 
 def _run_compare(exp: Experiment) -> int:
+    for field in ("theory_report", "empirical_csv"):
+        if not Path(getattr(exp, field)).is_file():
+            _fail(field, f"no such file: {getattr(exp, field)}")
     result = compare(Path(exp.theory_report), Path(exp.empirical_csv), exp.tolerances)
     _write_json(exp.out_dir / "deviations.json", result)
     return 0

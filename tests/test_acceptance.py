@@ -181,13 +181,13 @@ def test_criterion_06_percolation_representation(estar):
         bcm = rl.generate_bcm(params, philox(106, rep, 1))
         rigc = rl.project_rigc(bcm, params.communities)
         perc = rl.percolate_rigc_graph(rigc, pi, philox(106, rep, 2))
-        route_a.append(rl.giant_stats_rigc(perc, params).c1_fraction)
+        route_a.append(rl.giant_stats_rigc(perc).c1_fraction)
 
         pieces = rl.build_com_pi(params.communities, pi, philox(106, rep, 6))
         params_b = rl.build_params(params.l_degrees, pieces)
         bcm_b = rl.generate_bcm(params_b, philox(106, rep, 7))
         rigc_b = rl.project_rigc(bcm_b, params_b.communities)
-        route_b.append(rl.giant_stats_rigc(rigc_b, params_b).c1_fraction)
+        route_b.append(rl.giant_stats_rigc(rigc_b).c1_fraction)
 
     a, b = np.array(route_a), np.array(route_b)
     se = math.sqrt(a.var(ddof=1) / len(a) + b.var(ddof=1) / len(b))
@@ -229,7 +229,7 @@ def test_criterion_07_critical_threshold(estar, oracle):
         params = rl.sample_params(p, catalog, N_MID, philox(107, rep, 0))
         bcm = rl.generate_bcm(params, philox(107, rep, 1))
         rigc = rl.project_rigc(bcm, params.communities)
-        sweep = rl.harris_sweep(rigc, [0.2, 0.5], philox(107, rep, 5), params)
+        sweep = rl.harris_sweep(rigc, [0.2, 0.5], philox(107, rep, 5))
         below += sweep[0].c1_fraction < 0.01
         above += sweep[1].c1_fraction > 0.3
     ok = (

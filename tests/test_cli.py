@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
-from rigclab.cli import DEFAULT_TOLERANCES, compare, run
+from conftest import philox
+from rigclab import CommunityCatalog, Pmf, complete_graph, run_exploration, sample_params
+from rigclab.cli import DEFAULT_TOLERANCES, _write_columns, _write_csv, compare, run
 from rigclab.errors import KeyMismatch
 
 ESTAR_INPUTS = {
@@ -102,6 +105,54 @@ def test_bad_membership_law_exit_2(tmp_path, capsys, mode, l_pmf, extra, message
     assert message in err
 
 
+VALID_SAMPLED = dict(inputs={"l_pmf": {"1": 0.5, "3": 0.5}, "catalog": K3_CATALOG}, **SAMPLED)
+
+
+@pytest.mark.parametrize(
+    "mode,change,path",
+    [
+        pytest.param("giant", {"replicas": "x"}, "replicas", id="replicas-not-int"),
+        pytest.param("giant", {"threads": "two"}, "threads", id="threads-not-int"),
+        pytest.param("giant", {"target_n": "lots"}, "target_n", id="target-n-not-int"),
+        pytest.param("giant", {"seed": "abc"}, "seed", id="seed-not-int"),
+        pytest.param("giant", {"seed": -1}, "seed", id="seed-negative"),
+        pytest.param(
+            "giant", {"inputs": {"l_pmf": {"1": 1.0}, "catalog": [3]}}, "inputs.catalog[0]",
+            id="catalog-entry-not-object",
+        ),
+        pytest.param(
+            "giant",
+            {"inputs": {"l_pmf": {"1": 1.0},
+                        "catalog": [{"graph": {"complete": 3}, "weight": "heavy"}]}},
+            "inputs.catalog[0].weight", id="catalog-weight-not-number",
+        ),
+        pytest.param(
+            "giant", {"inputs": {"l_degrees": [0, 1, 2], "communities": [{"complete": 3}]}},
+            "inputs.l_degrees", id="l-degrees-with-zero",
+        ),
+        pytest.param(
+            "giant", {"inputs": {"l_degrees": 3, "communities": [{"complete": 3}]}},
+            "inputs.l_degrees", id="l-degrees-not-list",
+        ),
+        pytest.param("explore", {"t0": "x"}, "t0", id="t0-not-number"),
+        pytest.param("explore", {"c_grid": [0.5, "a"]}, "c_grid[1]", id="c-grid-not-number"),
+        pytest.param("sweep", {"pi_grid": ["a"]}, "pi_grid[0]", id="pi-grid-not-number"),
+        pytest.param("theory", {"d_max": "x"}, "d_max", id="d-max-not-int"),
+        pytest.param(
+            "compare", {"theory_report": "missing.json", "empirical_csv": "missing.csv"},
+            "theory_report", id="compare-missing-file",
+        ),
+    ],
+)
+def test_malformed_config_exit_2(tmp_path, capsys, mode, change, path):
+    settings = {**VALID_SAMPLED, **change}
+    cfg = write_config(tmp_path, "cfg.json", out_dir=str(tmp_path / "out"), **settings)
+    assert run(cfg, mode=mode) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}:")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("mode", ["theory", "pi-c"])
 def test_zero_mass_law_accepted_without_sampling(tmp_path, mode):
     cfg = write_config(
@@ -133,6 +184,95 @@ def test_giant_mode_thread_invariance(tmp_path):
     assert run(cfg_a, mode="giant") == 0
     assert run(cfg_b, mode="giant") == 0
     assert (out_a / "giant.csv").read_bytes() == (out_b / "giant.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "mode,files",
+    [
+        pytest.param(
+            "explore",
+            ["explore_summary.csv"]
+            + [f"{kind}_r{r}.csv" for kind in ("trajectory", "components", "hitting")
+               for r in range(3)],
+            id="explore",
+        ),
+        pytest.param(
+            "generate",
+            [f"{kind}_r{r}.{ext}" for kind, ext in (("rigc_edges", "csv"), ("params", "json"))
+             for r in range(3)],
+            id="generate",
+        ),
+    ],
+)
+def test_replica_files_thread_invariant(tmp_path, mode, files):
+    out_a, out_b = tmp_path / "t1", tmp_path / "t2"
+    base = dict(inputs=ESTAR_INPUTS, target_n=2_000, replicas=3, seed=11)
+    cfg_a = write_config(tmp_path, "a.json", out_dir=str(out_a), threads=1, **base)
+    cfg_b = write_config(tmp_path, "b.json", out_dir=str(out_b), threads=2, **base)
+    assert run(cfg_a, mode=mode) == 0
+    assert run(cfg_b, mode=mode) == 0
+    assert sorted(p.name for p in out_a.iterdir()) == sorted(files)
+    assert sorted(p.name for p in out_b.iterdir()) == sorted(files)
+    for name in files:
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+def test_trajectory_csv_matches_exploration(tmp_path):
+    """The written trajectory, parsed back, equals the exploration drawn
+    directly from the same (seed, replica, role) streams."""
+    seed, n = 13, 3_000
+    cfg = write_config(
+        tmp_path, "cfg.json", inputs=ESTAR_INPUTS, target_n=n, replicas=1, seed=seed,
+        out_dir=str(tmp_path / "out"),
+    )
+    assert run(cfg, mode="explore") == 0
+    lines = (tmp_path / "out" / "trajectory_r0.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    cells = list(zip(*(line.split(",") for line in lines[1:])))
+
+    catalog = CommunityCatalog([(complete_graph(3), 1.0)])
+    params = sample_params(Pmf({1: 0.5, 3: 0.5}), catalog, n, philox(seed, 0, 0))
+    traj = run_exploration(params, philox(seed, 0, 3))
+    expected = {
+        "t": traj.times, "step": traj.kinds, "L": traj.living, "S": traj.sleeping,
+        "S_hat": traj.sleeping_hat, "A": traj.active, "W": traj.waiting,
+    }
+    assert header == list(expected)
+    for name, column in zip(header, cells):
+        parse = float if name == "t" else int
+        assert [parse(c) for c in column] == expected[name].tolist(), name
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        pytest.param(
+            [np.array([-7, 0, 3, 10**12, -(10**12)]),
+             np.array([-128, 0, 5, 127, -1], dtype=np.int8),
+             np.array([0.1, 1e-07, 1e22, -0.0, float("nan")]),
+             np.array([float("inf"), -float("inf"), 0.0, 2.5, -1e-300])],
+            id="mixed",
+        ),
+        pytest.param(
+            [np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max]),
+             np.array([0, np.iinfo(np.uint32).max], dtype=np.uint32)],
+            id="int-extremes",
+        ),
+        pytest.param([np.array([0]), np.array([0.5])], id="one-row"),
+        pytest.param([np.array([], dtype=np.int64), np.array([], dtype=float)], id="zero-rows"),
+        pytest.param(
+            [philox(17).integers(-(10**15), 10**15, 5_000),
+             philox(18).standard_normal(5_000) * 10.0 ** philox(19).integers(-300, 300, 5_000),
+             philox(20).integers(0, 3, 5_000).astype(np.int8)],
+            id="random",
+        ),
+    ],
+)
+def test_write_columns_matches_write_csv(tmp_path, columns):
+    header = [f"c{i}" for i in range(len(columns))]
+    _write_columns(tmp_path / "columns.csv", header, columns)
+    _write_csv(tmp_path / "rows.csv", header, list(zip(*(c.tolist() for c in columns))))
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_rows_carry_keys(tmp_path):
@@ -269,6 +409,28 @@ def test_compare_key_mismatch(tmp_path):
     (tmp_path / "other.csv").write_text("something_else\n0.5\n")
     with pytest.raises(KeyMismatch):
         compare(tmp_path / "theory.json", tmp_path / "other.csv")
+
+
+def test_compare_rejects_non_numeric_shared_cell(tmp_path, capsys):
+    (tmp_path / "theory.json").write_text(json.dumps({"expected": {"c1_fraction": 0.9}}))
+    (tmp_path / "emp.csv").write_text("c1_fraction\n0.9\noops\n0.9\n")
+    with pytest.raises(KeyMismatch, match=r"line 3: column 'c1_fraction' holds 'oops'"):
+        compare(tmp_path / "theory.json", tmp_path / "emp.csv")
+    cfg = write_config(
+        tmp_path, "cfg.json", theory_report=str(tmp_path / "theory.json"),
+        empirical_csv=str(tmp_path / "emp.csv"), out_dir=str(tmp_path / "out"),
+    )
+    assert run(cfg, mode="compare") == 3
+    assert "KeyMismatch" in capsys.readouterr().err
+
+
+def test_compare_ignores_text_in_other_columns(tmp_path):
+    (tmp_path / "theory.json").write_text(json.dumps({"expected": {"c1_fraction": 0.9}}))
+    (tmp_path / "emp.csv").write_text(
+        "pi,route,c1_fraction\n0.5,graph,0.8\n0.5,communities,1.0\n"
+    )
+    result = compare(tmp_path / "theory.json", tmp_path / "emp.csv")
+    assert result["c1_fraction"]["empirical_mean"] == pytest.approx(0.9)
 
 
 def test_default_tolerances_cover_reported_columns():
