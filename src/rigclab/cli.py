@@ -73,11 +73,12 @@ def _float(value, path: str) -> float:
         _fail(path, f"expected a number, got {value!r}")
 
 
-def _check_numbers(values, path: str) -> None:
+def _check_numbers(values, path: str, within, bounds: str) -> None:
     if not isinstance(values, list):
         _fail(path, "expected a list of numbers")
     for i, value in enumerate(values):
-        _float(value, f"{path}[{i}]")
+        if not within(_float(value, f"{path}[{i}]")):
+            _fail(f"{path}[{i}]", f"must lie in {bounds}")
 
 
 def _parse_pmf(obj, path: str) -> Pmf:
@@ -184,7 +185,7 @@ class Experiment:
             _fail("pi", "must lie in [0, 1]")
         self.pi_grid = cfg.get("pi_grid")
         if self.pi_grid is not None:
-            _check_numbers(self.pi_grid, "pi_grid")
+            _check_numbers(self.pi_grid, "pi_grid", lambda pi: 0.0 <= pi <= 1.0, "[0, 1]")
         if mode == "sweep":
             if not self.pi_grid:
                 _fail("pi_grid", "required for sweep mode")
@@ -199,7 +200,7 @@ class Experiment:
         if self.t0 is not None:
             _float(self.t0, "t0")
         self.c_grid = cfg.get("c_grid") or [round(0.1 + 0.05 * i, 10) for i in range(19)]
-        _check_numbers(self.c_grid, "c_grid")
+        _check_numbers(self.c_grid, "c_grid", lambda c: 0.0 < c <= 1.0, "(0, 1]")
         self.d_max = cfg.get("d_max")
         if self.d_max is not None:
             _int(self.d_max, "d_max")
@@ -330,7 +331,10 @@ def _job_giant(job: tuple) -> tuple:
         (exp.seed, replica, params.n_l, k, d, frac)
         for (k, d), frac in sorted(stats.joint_in_giant.items())
     ]
-    return replica, row, joint
+    return replica, {
+        "giant.csv": (list(row), [tuple(row.values())]),
+        "joint.csv": (["seed", "replica", "N", "k", "d", "fraction"], joint),
+    }
 
 
 def _job_percolate(job: tuple) -> tuple:
@@ -356,7 +360,8 @@ def _job_percolate(job: tuple) -> tuple:
         (exp.seed, replica, params.n_l, pi, "communities", stats_b.c1_fraction,
          stats_b.c2_fraction, stats_b.edges_in_giant_per_N),
     ]
-    return replica, rows
+    header = ["seed", "replica", "N", "pi", "route", "c1_fraction", "c2_fraction", "edges_per_N"]
+    return replica, {"percolate.csv": (header, rows)}
 
 
 def _job_sweep(job: tuple) -> tuple:
@@ -370,7 +375,8 @@ def _job_sweep(job: tuple) -> tuple:
         (pi, s.c1_fraction, s.c2_fraction, s.edges_in_giant_per_N, exp.seed, replica, params.n_l)
         for pi, s in zip(exp.pi_grid, sweep)
     ]
-    return replica, rows
+    header = ["pi", "c1_fraction", "c2_fraction", "edges_per_N", "seed", "replica", "N"]
+    return replica, {"sweep.csv": (header, rows)}
 
 
 def _job_explore(job: tuple) -> tuple:
@@ -408,7 +414,9 @@ def _job_explore(job: tuple) -> tuple:
         ["c", "tau", "tau_theory"],
         list(zip(exp.c_grid, taus.tolist(), tau_lim)),
     )
-    return replica, (exp.seed, replica, params.n_l, t0, sup[0], sup[1], sup[2])
+    header = ["seed", "replica", "N", "t0", "sup_living", "sup_sleeping_hat", "sup_active_hat"]
+    summary = (exp.seed, replica, params.n_l, t0, sup[0], sup[1], sup[2])
+    return replica, {"explore_summary.csv": (header, [summary])}
 
 
 def _job_generate(job: tuple) -> tuple:
@@ -429,7 +437,7 @@ def _job_generate(job: tuple) -> tuple:
             "communities": [g.to_json_obj() for g in params.communities],
         },
     )
-    return (replica,)
+    return replica, {}
 
 
 # -- mode runners ------------------------------------------------------------------
@@ -472,33 +480,25 @@ def _run_theory(exp: Experiment) -> int:
     return 0
 
 
-def _run_giant(exp: Experiment) -> int:
-    jobs = [(exp.cfg, exp.mode, r) for r in range(exp.replicas)]
-    results = _map_replicas(_job_giant, jobs, exp.threads)
-    stat_rows = []
-    joint_rows = []
-    for _, row, joint in results:
-        stat_rows.append(tuple(row.values()))
-        joint_rows.extend(joint)
-        header = list(row.keys())
-    _write_csv(exp.out_dir / "giant.csv", header, stat_rows)
-    _write_csv(
-        exp.out_dir / "joint.csv",
-        ["seed", "replica", "N", "k", "d", "fraction"],
-        joint_rows,
-    )
-    return 0
+_JOBS = {
+    "generate": _job_generate,
+    "giant": _job_giant,
+    "percolate": _job_percolate,
+    "explore": _job_explore,
+    "sweep": _job_sweep,
+}
 
 
-def _run_percolate(exp: Experiment) -> int:
+def _run_replicas(exp: Experiment) -> int:
+    """Run the mode's job once per replica, then write each table the jobs
+    return, its rows concatenated in replica order."""
     jobs = [(exp.cfg, exp.mode, r) for r in range(exp.replicas)]
-    results = _map_replicas(_job_percolate, jobs, exp.threads)
-    rows = [row for _, pair in results for row in pair]
-    _write_csv(
-        exp.out_dir / "percolate.csv",
-        ["seed", "replica", "N", "pi", "route", "c1_fraction", "c2_fraction", "edges_per_N"],
-        rows,
-    )
+    tables: dict[str, tuple[list[str], list[tuple]]] = {}
+    for _, out in _map_replicas(_JOBS[exp.mode], jobs, exp.threads):
+        for name, (header, rows) in out.items():
+            tables.setdefault(name, (header, []))[1].extend(rows)
+    for name, (header, rows) in tables.items():
+        _write_csv(exp.out_dir / name, header, rows)
     return 0
 
 
@@ -509,35 +509,6 @@ def _run_pi_c(exp: Experiment) -> int:
     _write_json(
         exp.out_dir / "pi_c.json",
         {"pi_c": 0.5 * (lo + hi), "bracket_lo": lo, "bracket_hi": hi, "tol": exp.tol},
-    )
-    return 0
-
-
-def _run_explore(exp: Experiment) -> int:
-    jobs = [(exp.cfg, exp.mode, r) for r in range(exp.replicas)]
-    results = _map_replicas(_job_explore, jobs, exp.threads)
-    _write_csv(
-        exp.out_dir / "explore_summary.csv",
-        ["seed", "replica", "N", "t0", "sup_living", "sup_sleeping_hat", "sup_active_hat"],
-        [summary for _, summary in results],
-    )
-    return 0
-
-
-def _run_generate(exp: Experiment) -> int:
-    jobs = [(exp.cfg, exp.mode, r) for r in range(exp.replicas)]
-    _map_replicas(_job_generate, jobs, exp.threads)
-    return 0
-
-
-def _run_sweep(exp: Experiment) -> int:
-    jobs = [(exp.cfg, exp.mode, r) for r in range(exp.replicas)]
-    results = _map_replicas(_job_sweep, jobs, exp.threads)
-    rows = [row for _, chunk in results for row in chunk]
-    _write_csv(
-        exp.out_dir / "sweep.csv",
-        ["pi", "c1_fraction", "c2_fraction", "edges_per_N", "seed", "replica", "N"],
-        rows,
     )
     return 0
 
@@ -555,8 +526,13 @@ DEFAULT_TOLERANCES = {
 
 def compare(theory_path: Path, empirical_path: Path, tolerances: dict | None = None) -> dict:
     """Per-quantity deviation of empirical column means from a theory report."""
-    report = json.loads(Path(theory_path).read_text())
-    expected = report.get("expected", report)
+    try:
+        report = json.loads(Path(theory_path).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        _fail("theory_report", f"{theory_path} is not JSON: {exc}")
+    expected = report.get("expected", report) if isinstance(report, dict) else None
+    if not isinstance(expected, dict):
+        _fail("theory_report", f"{theory_path} does not hold a JSON object of expected values")
     text = Path(empirical_path).read_text().strip().splitlines()
     if len(text) < 2:
         raise KeyMismatch(f"{empirical_path} carries no data rows")
@@ -564,6 +540,14 @@ def compare(theory_path: Path, empirical_path: Path, tolerances: dict | None = N
     shared = [k for k in expected if k in header]
     if not shared:
         raise KeyMismatch("no quantity appears in both the report and the CSV")
+    theory = {}
+    for key in shared:
+        try:
+            theory[key] = float(expected[key])
+        except (TypeError, ValueError):
+            raise KeyMismatch(
+                f"{theory_path}: {key!r} holds {expected[key]!r}, not a number"
+            ) from None
     # only the shared columns are parsed; other columns may hold text (a route name)
     cols: dict[str, list[float]] = {key: [] for key in shared}
     index = {key: header.index(key) for key in shared}
@@ -582,8 +566,8 @@ def compare(theory_path: Path, empirical_path: Path, tolerances: dict | None = N
     out = {}
     for key in sorted(shared):
         mean = sum(cols[key]) / len(cols[key])
-        dev = abs(mean - float(expected[key]))
-        entry = {"theory": float(expected[key]), "empirical_mean": mean, "abs_deviation": dev}
+        dev = abs(mean - theory[key])
+        entry = {"theory": theory[key], "empirical_mean": mean, "abs_deviation": dev}
         if key in tol:
             entry["tolerance"] = tol[key]
             entry["pass"] = dev <= tol[key]
@@ -602,13 +586,9 @@ def _run_compare(exp: Experiment) -> int:
 
 _RUNNERS = {
     "theory": _run_theory,
-    "generate": _run_generate,
-    "giant": _run_giant,
-    "percolate": _run_percolate,
     "pi-c": _run_pi_c,
-    "explore": _run_explore,
-    "sweep": _run_sweep,
     "compare": _run_compare,
+    **dict.fromkeys(_JOBS, _run_replicas),
 }
 
 

@@ -80,7 +80,6 @@ def run_exploration(
     params: ModelParams,
     rng: np.random.Generator,
     method: str = "race",
-    engine: str = "auto",
 ) -> Trajectory:
     """Execute the exploration, producing a uniform matching and its trajectory.
 
@@ -89,22 +88,13 @@ def run_exploration(
     front and replays them in sorted order.  The two are equal in law; the
     direct-clock mode is kept as a distributional oracle.
 
-    The core loop runs compiled when numba is present (``engine="auto"``);
-    the pure-Python twin consumes the identical presampled randomness and
-    produces bit-identical output.  The tests check the two loop sources
-    bit for bit on every host (the kernel source run interpreted against the
-    twin); numba's compiled build is compared only where numba is
-    importable and is reported as skipped elsewhere.
-    ``engine="compiled"`` without numba raises ``OutOfDomain``.
+    The loop has one source, ``_explore_loop``.  It runs compiled on arrays
+    when numba is importable and interpreted on lists (``.tolist()`` copies
+    of the inputs) otherwise; both consume the same presampled randomness and
+    give the same output bit for bit.
     """
     if method not in ("race", "clocks"):
         raise OutOfDomain(f"unknown method {method!r}")
-    if engine not in ("auto", "python", "compiled"):
-        raise OutOfDomain(f"unknown engine {engine!r}")
-    if engine == "auto":
-        engine = "compiled" if _HAVE_NUMBA else "python"
-    if engine == "compiled" and not _HAVE_NUMBA:
-        raise OutOfDomain("compiled engine requested but numba is unavailable")
 
     h = params.half_edges
     n_l, n_r = params.n_l, params.n_r
@@ -136,8 +126,7 @@ def run_exploration(
     # uniform per individual plus one per token
     uniforms = rng.random(n_l + h + 1)
 
-    loop = _explore_loop_compiled if engine == "compiled" else _explore_loop_python
-    match, step1_iters, step1_vertices, skip_rings, skip_extras, ring_ptr = loop(
+    inputs = (
         sigma_arr,
         l_owner_arr,
         l_off_arr,
@@ -146,7 +135,21 @@ def run_exploration(
         bases,
         d_seq,
         uniforms,
+        np.arange(h),  # candidates
     )
+    # status, match, stack, the Step-1 log and the skip log: each starts zeroed
+    sizes = (h, h, h, n_l, n_l, h, h)
+    if _HAVE_NUMBA:
+        args = (*inputs, *(np.zeros(n, dtype=np.int64) for n in sizes))
+    else:
+        args = (*(a.tolist() for a in inputs), *([0] * n for n in sizes))
+    n1, nskip, ring_ptr = _explore_loop(*args)
+    match, step1_iters, step1_vertices, skip_rings, skip_extras = (
+        np.asarray(log, dtype=np.int64)
+        for log in (args[10], args[12][:n1], args[13][:n1], args[14][:nskip], args[15][:nskip])
+    )
+    # the list copies weigh more than the trajectory: free them before assembly
+    del args
 
     return _assemble_trajectory(
         n_l,
@@ -168,31 +171,40 @@ def run_exploration(
 
 
 @njit(cache=True)
-def _explore_loop_compiled(
-    sigma, l_owner, l_off, l_deg, first_labels, bases, d_seq, uniforms
-):  # pragma: no cover - exercised via run_exploration
-    h = sigma.shape[0]
-    n_l = l_deg.shape[0]
-    n_iter = d_seq.shape[0]
+def _explore_loop(
+    sigma,
+    l_owner,
+    l_off,
+    l_deg,
+    first_labels,
+    bases,
+    d_seq,
+    uniforms,
+    candidates,
+    status,
+    match,
+    stack,
+    step1_iters,
+    step1_vertices,
+    skip_rings,
+    skip_extras,
+):
+    """The exploration loop; fills the buffers in place, returns the log lengths.
 
-    status = np.zeros(h, dtype=np.uint8)  # 0 sleeping, 1 active, 2 paired
-    match = np.full(h, -1, dtype=np.int64)
-    candidates = np.arange(h)
-    n_cand = h
-    stack = np.empty(h, dtype=np.int64)
+    ``candidates`` starts as 0..h-1; ``status`` (0 sleeping, 1 active,
+    2 paired), ``match``, ``stack`` and the logs start zeroed, and the loop
+    writes every entry of ``match``.  Only index writes touch them, so the
+    same source runs under ``njit`` on arrays and interpreted on lists.
+    """
+    n_cand = len(candidates)
     top = 0
     A = 0
     ring_ptr = 0
     ui = 0
-
-    step1_iters = np.empty(n_l, dtype=np.int64)
-    step1_vertices = np.empty(n_l, dtype=np.int64)
     n1 = 0
-    skip_rings = np.empty(h, dtype=np.int64)
-    skip_extras = np.empty(h, dtype=np.int64)
     nskip = 0
 
-    for it in range(n_iter):
+    for it in range(len(d_seq)):
         if A == 0:
             # Step 1: wake the owner of a uniform sleeping l-half-edge;
             # stale pool entries are swap-deleted as draws land on them
@@ -225,10 +237,9 @@ def _explore_loop_compiled(
         base = bases[it]
         label = first_labels[it]
         match[x] = base + label
-        d_a = d_seq[it]
 
         # Step 3: resolve the group's remaining tokens at successive alarms
-        for label2 in range(d_a):
+        for label2 in range(d_seq[it]):
             if label2 == label:
                 continue
             ring_start = ring_ptr
@@ -257,104 +268,7 @@ def _explore_loop_compiled(
             status[e] = 2
             match[e] = base + label2
 
-    return (
-        match,
-        step1_iters[:n1].copy(),
-        step1_vertices[:n1].copy(),
-        skip_rings[:nskip].copy(),
-        skip_extras[:nskip].copy(),
-        ring_ptr,
-    )
-
-
-def _explore_loop_python(
-    sigma_arr, l_owner_arr, l_off_arr, l_deg_arr, first_labels, bases_arr, d_seq, uniforms
-):
-    """Reference twin of the compiled loop, same draws, same outputs."""
-    h = len(sigma_arr)
-    sigma = sigma_arr.tolist()
-    l_owner = l_owner_arr.tolist()
-    l_off = l_off_arr.tolist()
-    l_deg = l_deg_arr.tolist()
-    discoveries = list(zip(first_labels.tolist(), bases_arr.tolist(), d_seq.tolist()))
-    us = uniforms.tolist()
-
-    status = [0] * h
-    match = [-1] * h
-    candidates = list(range(h))
-    stack: list[int] = []
-    stack_pop = stack.pop
-    stack_append = stack.append
-
-    A = 0
-    ring_ptr = 0
-    ui = 0
-    it = 0
-    step1_iters: list[int] = []
-    step1_vertices: list[int] = []
-    skip_rings: list[int] = []
-    skip_extras: list[int] = []
-
-    for label, base, d_a in discoveries:
-        if A == 0:
-            while True:
-                j = int(us[ui] * len(candidates))
-                ui += 1
-                x = candidates[j]
-                if status[x] == 0:
-                    break
-                last = candidates.pop()
-                if j < len(candidates):
-                    candidates[j] = last
-            v = l_owner[x]
-            for e in range(l_off[v], l_off[v + 1]):
-                status[e] = 1
-                stack_append(e)
-            A += l_deg[v]
-            step1_iters.append(it)
-            step1_vertices.append(v)
-        it += 1
-
-        x = stack_pop()
-        while status[x] != 1:
-            x = stack_pop()
-        status[x] = 2
-        A -= 1
-        match[x] = base + label
-
-        for label2 in range(d_a):
-            if label2 == label:
-                continue
-            ring_start = ring_ptr
-            while True:
-                e = sigma[ring_ptr]
-                ring_ptr += 1
-                se = status[e]
-                if se != 2:
-                    break
-            if ring_ptr - ring_start > 1:
-                skip_rings.append(ring_start)
-                skip_extras.append(ring_ptr - ring_start - 1)
-            if se == 0:
-                ve = l_owner[e]
-                for e2 in range(l_off[ve], l_off[ve + 1]):
-                    if e2 != e:
-                        status[e2] = 1
-                        stack_append(e2)
-                A += l_deg[ve] - 1
-            else:
-                A -= 1
-            status[e] = 2
-            match[e] = base + label2
-
-    return (
-        np.array(match, dtype=np.int64),
-        np.array(step1_iters, dtype=np.int64),
-        np.array(step1_vertices, dtype=np.int64),
-        np.array(skip_rings, dtype=np.int64),
-        np.array(skip_extras, dtype=np.int64),
-        ring_ptr,
-    )
+    return n1, nskip, ring_ptr
 
 
 def _assemble_trajectory(

@@ -137,6 +137,11 @@ VALID_SAMPLED = dict(inputs={"l_pmf": {"1": 0.5, "3": 0.5}, "catalog": K3_CATALO
         pytest.param("explore", {"t0": "x"}, "t0", id="t0-not-number"),
         pytest.param("explore", {"c_grid": [0.5, "a"]}, "c_grid[1]", id="c-grid-not-number"),
         pytest.param("sweep", {"pi_grid": ["a"]}, "pi_grid[0]", id="pi-grid-not-number"),
+        pytest.param("sweep", {"pi_grid": [0.5, 2.0]}, "pi_grid[1]", id="pi-grid-above-1"),
+        pytest.param("sweep", {"pi_grid": [-0.1, 0.5]}, "pi_grid[0]", id="pi-grid-below-0"),
+        pytest.param("explore", {"c_grid": [0.5, 1.5]}, "c_grid[1]", id="c-grid-above-1"),
+        pytest.param("explore", {"c_grid": [0.0, 0.5]}, "c_grid[0]", id="c-grid-zero"),
+        pytest.param("theory", {"c_grid": [0.5, 1.5]}, "c_grid[1]", id="theory-c-grid-above-1"),
         pytest.param("theory", {"d_max": "x"}, "d_max", id="d-max-not-int"),
         pytest.param(
             "compare", {"theory_report": "missing.json", "empirical_csv": "missing.csv"},
@@ -151,6 +156,7 @@ def test_malformed_config_exit_2(tmp_path, capsys, mode, change, path):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {path}:")
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("mode", ["theory", "pi-c"])
@@ -422,6 +428,30 @@ def test_compare_rejects_non_numeric_shared_cell(tmp_path, capsys):
     )
     assert run(cfg, mode="compare") == 3
     assert "KeyMismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "report,code,message",
+    [
+        pytest.param("{not json", 2, "config error: theory_report:", id="not-json"),
+        pytest.param("[1, 2]", 2, "config error: theory_report:", id="not-an-object"),
+        pytest.param('{"expected": 0.9}', 2, "config error: theory_report:", id="expected-not-object"),
+        pytest.param('{"c1_fraction": "abc"}', 3, "KeyMismatch", id="value-not-number"),
+        pytest.param('{"c1_fraction": null}', 3, "KeyMismatch", id="value-null"),
+    ],
+)
+def test_compare_malformed_theory_report(tmp_path, capsys, report, code, message):
+    (tmp_path / "theory.json").write_text(report)
+    (tmp_path / "emp.csv").write_text("c1_fraction\n0.9\n")
+    cfg = write_config(
+        tmp_path, "cfg.json", theory_report=str(tmp_path / "theory.json"),
+        empirical_csv=str(tmp_path / "emp.csv"), out_dir=str(tmp_path / "out"),
+    )
+    assert run(cfg, mode="compare") == code
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_compare_ignores_text_in_other_columns(tmp_path):

@@ -1,4 +1,3 @@
-import importlib.util
 import math
 from collections import Counter
 
@@ -106,41 +105,16 @@ def assert_trajectories_identical(a, b):
     assert a.component_records == b.component_records
 
 
-def test_engines_identical(p_estar, cat_estar, monkeypatch):
-    """The two hand-kept loop sources agree bit for bit on the same
-    presampled randomness.  The kernel source runs interpreted (numba's
-    ``py_func`` where numba is present, the plain function under the
-    ``njit`` stub otherwise), so this check needs no optional extra."""
-    params = sample_params(p_estar, cat_estar, 500, philox(6))
-    twin = run_exploration(params, philox(7), engine="python")
-    kernel = getattr(
-        explore._explore_loop_compiled, "py_func", explore._explore_loop_compiled
-    )
-    assert kernel is not explore._explore_loop_python
-    monkeypatch.setattr(explore, "_explore_loop_python", kernel)
-    kernel_run = run_exploration(params, philox(7), engine="python")
-    assert_trajectories_identical(kernel_run, twin)
-
-
-def test_compiled_engine_identical(p_estar, cat_estar):
-    """numba's build of the kernel agrees with the pure-Python twin."""
+def test_compiled_engine_identical(p_estar, cat_estar, monkeypatch):
+    """numba's build of the loop on arrays agrees bit for bit with the same
+    source interpreted (``py_func``) on lists."""
     pytest.importorskip("numba")
     params = sample_params(p_estar, cat_estar, 500, philox(6))
-    a = run_exploration(params, philox(7), engine="compiled")
-    b = run_exploration(params, philox(7), engine="python")
-    assert_trajectories_identical(a, b)
-
-
-@pytest.mark.skipif(
-    importlib.util.find_spec("numba") is not None,
-    reason="numba is importable, so the compiled engine is available",
-)
-def test_compiled_engine_refused_without_numba(p_estar, cat_estar):
-    """Without numba, asking for the compiled engine is an error, never a
-    quiet fall back to interpreted code."""
-    params = sample_params(p_estar, cat_estar, 50, philox(6))
-    with pytest.raises(OutOfDomain, match="numba"):
-        run_exploration(params, philox(7), engine="compiled")
+    compiled = run_exploration(params, philox(7))
+    monkeypatch.setattr(explore, "_HAVE_NUMBA", False)
+    monkeypatch.setattr(explore, "_explore_loop", explore._explore_loop.py_func)
+    interpreted = run_exploration(params, philox(7))
+    assert_trajectories_identical(compiled, interpreted)
 
 
 def test_component_records_match_union_find(p_estar, cat_estar):
