@@ -11,6 +11,7 @@ from . import errors
 from .community import (
     CommunityCatalog,
     CommunityGraph,
+    ComponentSizeCensus,
     PercolationProfile,
     canonical_form,
     canonical_key,
@@ -19,6 +20,7 @@ from .community import (
     path_graph,
     percolate_enumerate,
     percolate_sample,
+    size_census,
     split_components,
 )
 from .components import (

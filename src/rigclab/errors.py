@@ -45,6 +45,10 @@ class TooManyEdges(LabError):
     pass
 
 
+class TooManyVertices(LabError):
+    pass
+
+
 # -- model --------------------------------------------------------------------
 
 class HalfEdgeMismatch(LabError):

@@ -2,9 +2,12 @@
 
 Percolating the graph is distributionally the same as percolating every
 community and regenerating with the split components as the new community
-list.  That turns the percolated giant into a plain fixed-point computation
-on the percolated catalog, and the critical retention probability into a
-deterministic bisection over exactly enumerable per-community expectations.
+list.  The percolated giant then needs only the percolated size law, and
+the critical retention probability only each role's expected component size.
+Both come from each shape's exact component-size census
+(``community.size_census``) as sums of nonnegative terms: the theory path
+never enumerates edge subsets or names component shapes.  Only the limiting
+percolated catalog (``mu_pi_limit``), which does name shapes, enumerates.
 """
 from __future__ import annotations
 
@@ -16,9 +19,12 @@ import numpy as np
 from .community import (
     CommunityCatalog,
     CommunityGraph,
+    ComponentSizeCensus,
+    check_census_cap,
     component_members,
     percolate_enumerate,
     percolate_sample,
+    size_census,
     split_components,
 )
 from .components import GiantStats, giant_stats_rigc
@@ -123,10 +129,34 @@ def mu_pi_limit(catalog: CommunityCatalog, pi: float) -> PercolatedCatalog:
     )
 
 
+def _catalog_censuses(catalog: CommunityCatalog) -> list[tuple[float, ComponentSizeCensus]]:
+    """(weight, size census) per catalog shape; every shape is checked against
+    the census cap before any census is built."""
+    check_census_cap(g for g, _ in catalog.items)
+    return [(w, size_census(g)) for g, w in catalog.items]
+
+
+def _percolated_size_law(catalog: CommunityCatalog, pi: float) -> Pmf:
+    """q_pi: the size law of a uniform piece of the percolated community list.
+
+    Each original community contributes its expected number of pieces of
+    each size, so q_pi(s) is proportional to sum_g w_g E_g[#components of
+    size s].
+    """
+    censuses = _catalog_censuses(catalog)
+    acc = np.zeros(max(c.n for _, c in censuses) + 1)
+    for w, census in censuses:
+        acc[: census.n + 1] += w * census.expected_counts(pi)
+    return Pmf(dict(enumerate((acc / acc.sum()).tolist())))
+
+
 def percolated_prediction(p: Pmf, catalog: CommunityCatalog, pi: float) -> GiantPrediction:
-    """Giant prediction for retention pi: the fixed point on the percolated catalog."""
-    pc = mu_pi_limit(catalog, pi)
-    return giant_prediction(TheoryInputs.from_p_catalog(p, pc.catalog_pi))
+    """Giant prediction for retention pi: the fixed point on (p, q_pi).
+
+    The fixed point reads only the two size laws, so the percolated size law
+    stands in for the percolated catalog.
+    """
+    return giant_prediction(TheoryInputs.from_p_q(p, _percolated_size_law(catalog, pi)))
 
 
 # -- critical retention probability ---------------------------------------------
@@ -136,9 +166,8 @@ def _supercriticality_gap(p_tilde_mean: float, catalog: CommunityCatalog, pi: fl
     """E[tilted membership] * E[|H| (|C(root, pi)| - 1)] / E[|H|] - 1, exactly."""
     mean_size = catalog.mean_size()
     acc = 0.0
-    for g, w in catalog.items:
-        prof = percolate_enumerate(g, pi)
-        acc += w * g.n * prof.mean_root_component_minus_one
+    for w, census in _catalog_censuses(catalog):
+        acc += w * census.n * census.mean_root_component_minus_one(pi)
     return p_tilde_mean * acc / mean_size - 1.0
 
 
@@ -151,8 +180,10 @@ def critical_pi_bracket(
     bisection is exact.  Returns (0, 0) in the robust regime where every
     positive retention is already supercritical.  Whether the threshold
     itself is supercritical is left undecided; only the bracket is reported.
+    Every shape must have at most ``CENSUS_MAX_VERTICES`` vertices; a larger
+    one raises ``TooManyVertices`` before any census is built.
     """
-    base = giant_prediction(TheoryInputs.from_p_catalog(p, catalog))
+    base = giant_prediction(TheoryInputs.from_p_q(p, catalog.size_pmf()))
     if not base.supercritical:
         raise NotSupercritical("unpercolated inputs must be supercritical")
     p_tilde_mean = p.size_bias().shift_down_one().mean()

@@ -9,7 +9,7 @@ and a branching-process simulator used as an independent cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,28 +26,44 @@ EXCLUDED_REGIME_TOL = 1e-12
 
 @dataclass(frozen=True)
 class TheoryInputs:
-    """Degree law plus catalog, with the tilted laws every formula needs."""
+    """Degree law and community-size law, with the tilted laws every formula
+    needs.
+
+    The fixed point, the giant fractions, the bipartite giant and the
+    exploration curves read only the two size laws.  The joint degree law and
+    the edge formulas also need the community shapes: ``catalog`` and its
+    role-degree law ``rho``, which are ``None`` for inputs built from (p, q).
+    """
 
     p: Pmf
-    catalog: CommunityCatalog
     q: Pmf
-    rho: Pmf
     p_tilde: Pmf
     q_tilde: Pmf
     gamma: float
+    catalog: CommunityCatalog | None = None
+    rho: Pmf | None = None
 
     @classmethod
-    def from_p_catalog(cls, p: Pmf, catalog: CommunityCatalog) -> "TheoryInputs":
-        q = catalog.size_pmf()
+    def from_p_q(cls, p: Pmf, q: Pmf) -> "TheoryInputs":
         return cls(
             p=p,
-            catalog=catalog,
             q=q,
-            rho=catalog.cdeg_pmf(),
             p_tilde=p.size_bias().shift_down_one(),
             q_tilde=q.size_bias().shift_down_one(),
             gamma=p.mean() / q.mean(),
         )
+
+    @classmethod
+    def from_p_catalog(cls, p: Pmf, catalog: CommunityCatalog) -> "TheoryInputs":
+        return replace(
+            cls.from_p_q(p, catalog.size_pmf()), catalog=catalog, rho=catalog.cdeg_pmf()
+        )
+
+    def shapes(self) -> CommunityCatalog:
+        """The catalog, for the formulas that need community shapes."""
+        if self.catalog is None:
+            raise OutOfDomain("inputs built from (p, q) carry no community shapes")
+        return self.catalog
 
 
 @dataclass(frozen=True)
@@ -127,7 +143,7 @@ def _extinct_role_weights(inputs: TheoryInputs, eta_r: float) -> dict[int, float
     discounted by the chance that the rest of its community dies out."""
     er = inputs.q.mean()
     w: dict[int, float] = {}
-    for g, mu in inputs.catalog.items:
+    for g, mu in inputs.shapes().items:
         discount = eta_r ** (g.n - 1)
         for c, count in g.degree_census().items():
             w[c] = w.get(c, 0.0) + count * mu * discount / er
@@ -137,26 +153,19 @@ def _extinct_role_weights(inputs: TheoryInputs, eta_r: float) -> dict[int, float
 def joint_degree_in_giant(
     inputs: TheoryInputs, prediction: GiantPrediction, k: int, d: int
 ) -> float:
-    """Limiting fraction of vertices with k memberships and degree d in the giant.
-
-    Exact algebraic factorization: the survival discount factorizes over the
-    k communities, so the double sum collapses to a difference of k-fold
-    convolutions (full role-degree law minus the discounted one).
-    """
-    if not prediction.supercritical:
-        raise NotSupercritical("in-giant degree law needs a giant component")
-    pk = inputs.p.prob(k)
-    if pk == 0.0 or k < 1:
-        return 0.0
-    full = convolve_power(inputs.rho, k)
-    dead = convolve_power(_extinct_role_weights(inputs, prediction.eta_r), k)
-    return pk * (full.get(d, 0.0) - dead.get(d, 0.0))
+    """Limiting fraction of vertices with k memberships and degree d in the giant."""
+    return joint_degree_in_giant_table(inputs, prediction, d).get((k, d), 0.0)
 
 
 def joint_degree_in_giant_table(
     inputs: TheoryInputs, prediction: GiantPrediction, d_max: int
 ) -> dict[tuple[int, int], float]:
-    """All (k, d) values with d <= d_max in one pass over the support of p."""
+    """All (k, d) values with d <= d_max in one pass over the support of p.
+
+    Exact algebraic factorization: the survival discount factorizes over the
+    k communities, so the double sum collapses to a difference of k-fold
+    convolutions (full role-degree law minus the discounted one).
+    """
     if not prediction.supercritical:
         raise NotSupercritical("in-giant degree law needs a giant component")
     dead_base = _extinct_role_weights(inputs, prediction.eta_r)
@@ -177,7 +186,7 @@ def default_truncation(inputs: TheoryInputs) -> int:
     Finite catalogs and a finite membership law make the joint support
     finite, so the cutoff is exact and the truncation tail is zero.
     """
-    return max(inputs.p.values) * max(inputs.rho.values)
+    return max(inputs.p.values) * max(max(g.degrees()) for g, _ in inputs.shapes().items)
 
 
 def edges_in_giant_rigc(inputs: TheoryInputs, prediction: GiantPrediction) -> float:
@@ -186,7 +195,7 @@ def edges_in_giant_rigc(inputs: TheoryInputs, prediction: GiantPrediction) -> fl
         raise NotSupercritical("edge count needs a giant component")
     acc = sum(
         mu * g.edge_count * (1.0 - prediction.eta_r**g.n)
-        for g, mu in inputs.catalog.items
+        for g, mu in inputs.shapes().items
     )
     return inputs.gamma * acc
 

@@ -1,6 +1,9 @@
 """Shared fixtures and independent oracles for the test suite."""
 from __future__ import annotations
 
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -37,6 +40,26 @@ def bisect_eta(inputs: TheoryInputs, iters: int = 200) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def gilbert_component_counts(n: int, pi: float) -> list[Fraction]:
+    """Exact expected number of components of each size 0..n of the complete
+    graph K_n after keeping each edge with probability pi.
+
+    Gilbert's recursion (Ann. Math. Statist. 30, 1959) for the probability
+    that K_s stays connected, P_s = 1 - sum_{t<s} C(s-1, t-1) P_t (1-pi)^(t(s-t)),
+    in rational arithmetic, so nothing cancels; size-s components then number
+    C(n, s) P_s (1-pi)^(s(n-s)) on average.
+    """
+    drop = 1 - Fraction(pi)
+    connected = [Fraction(0), Fraction(1)]
+    for s in range(2, n + 1):
+        connected.append(
+            1 - sum(comb(s - 1, t - 1) * connected[t] * drop ** (t * (s - t)) for t in range(1, s))
+        )
+    return [Fraction(0)] + [
+        comb(n, s) * connected[s] * drop ** (s * (n - s)) for s in range(1, n + 1)
+    ]
 
 
 @pytest.fixture(scope="session")

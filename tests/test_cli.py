@@ -1,9 +1,10 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
-from conftest import philox
+from conftest import gilbert_component_counts, philox
 from rigclab import CommunityCatalog, Pmf, complete_graph, run_exploration, sample_params
 from rigclab.cli import DEFAULT_TOLERANCES, _write_columns, _write_csv, compare, run
 from rigclab.errors import KeyMismatch
@@ -328,6 +329,61 @@ def test_pi_c_mode(tmp_path):
     report = json.loads((tmp_path / "out" / "pi_c.json").read_text())
     assert report["pi_c"] == pytest.approx(0.27765, abs=1e-4)
     assert report["bracket_lo"] <= report["pi_c"] <= report["bracket_hi"]
+
+
+def test_pi_c_mode_eight_vertex_shape(tmp_path):
+    # K8 has 28 edges, beyond the edge cap that 2^|E| enumeration needs
+    cfg = write_config(
+        tmp_path,
+        "cfg.json",
+        inputs={"l_pmf": {"1": 0.5, "3": 0.5}, "catalog": [{"graph": {"complete": 8}, "weight": 1.0}]},
+        out_dir=str(tmp_path / "out"),
+    )
+    assert run(cfg, mode="pi-c") == 0
+    report = json.loads((tmp_path / "out" / "pi_c.json").read_text())
+
+    # oracle: with one shape the gap is E[tilted membership] * E[|C(root)| - 1] - 1,
+    # with E[tilted membership] = 3/2 and E[|C(root)| - 1] from Gilbert's recursion
+    def gap(pi):
+        counts = gilbert_component_counts(8, pi)
+        return 1.5 * float(sum(c * s * (s - 1) for s, c in enumerate(counts))) / 8 - 1.0
+
+    lo, hi = 0.0, 1.0
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if gap(mid) > 0.0 else (mid, hi)
+    assert report["bracket_lo"] - 1e-9 <= 0.5 * (lo + hi) <= report["bracket_hi"] + 1e-9
+    assert report["bracket_hi"] - report["bracket_lo"] <= 1e-6
+
+
+def test_pi_c_mode_above_vertex_cap_exit_3(tmp_path, capsys, monkeypatch):
+    from rigclab import community
+
+    def no_census(n, edges):
+        raise AssertionError(f"census built for a graph on {n} vertices")
+
+    # the cap is checked for every shape before any census is built
+    monkeypatch.setattr(community, "_size_census_cache", {})
+    monkeypatch.setattr(community, "_census_rows", no_census)
+    cfg = write_config(
+        tmp_path,
+        "cfg.json",
+        inputs={
+            "l_pmf": {"1": 0.5, "3": 0.5},
+            "catalog": [
+                {"graph": {"complete": 3}, "weight": 0.5},
+                {"graph": {"complete": 13}, "weight": 0.5},
+            ],
+        },
+        out_dir=str(tmp_path / "out"),
+    )
+    start = time.perf_counter()
+    assert run(cfg, mode="pi-c") == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: TooManyVertices:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "pi_c.json").exists()
 
 
 def test_sweep_mode(tmp_path):

@@ -1,6 +1,10 @@
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from conftest import gilbert_component_counts
 from rigclab import (
     CommunityCatalog,
     CommunityGraph,
@@ -9,9 +13,16 @@ from rigclab import (
     path_graph,
     percolate_enumerate,
     percolate_sample,
+    size_census,
     split_components,
 )
-from rigclab.errors import NotNormalized, OutOfDomain, TooLargeForExactIsomorphism, TooManyEdges
+from rigclab.errors import (
+    NotNormalized,
+    OutOfDomain,
+    TooLargeForExactIsomorphism,
+    TooManyEdges,
+    TooManyVertices,
+)
 
 
 def random_connected_graph(rng, n):
@@ -207,3 +218,100 @@ def test_graph_json_roundtrip(k3):
     assert CommunityGraph.from_json_obj(obj) == k3
     cat = CommunityCatalog([(k3, 1.0)])
     assert CommunityCatalog.from_json_obj(cat.to_json_obj()) == cat
+
+
+# -- component-size census against independent oracles ------------------------------
+
+CENSUS_PIS = (0.0, 1e-9, 0.1, 0.5, 0.77, 1.0)
+
+
+def complete_edges(n):
+    return list(itertools.combinations(range(1, n + 1), 2))
+
+
+def path_edges(n):
+    return [(i, i + 1) for i in range(1, n)]
+
+
+def cycle_edges(n):
+    return path_edges(n) + [(1, n)]
+
+
+# K1-K6, P2-P6, C3-C8 and a star with five leaves; the benchmark's mixed
+# catalog (K2, K3, P4, C4, K4, K5, C8) is among them
+BRUTE_FORCE_SHAPES = (
+    [pytest.param(n, complete_edges(n), id=f"K{n}") for n in range(1, 7)]
+    + [pytest.param(n, path_edges(n), id=f"P{n}") for n in range(2, 7)]
+    + [pytest.param(n, cycle_edges(n), id=f"C{n}") for n in range(3, 9)]
+    + [pytest.param(6, [(1, v) for v in range(2, 7)], id="star5")]
+)
+
+
+def brute_force_component_counts(n, edges):
+    """Component-size tallies over all 2^|E| edge subsets, by kept-edge count:
+    tally[k][s] is the number of size-s components summed over the k-edge
+    subsets.  A plain union-find per subset."""
+    m = len(edges)
+    tally = [[0] * (n + 1) for _ in range(m + 1)]
+    for mask in range(1 << m):
+        parent = list(range(n + 1))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        kept = 0
+        for i, (u, v) in enumerate(edges):
+            if mask >> i & 1:
+                kept += 1
+                ru, rv = find(u), find(v)
+                if ru != rv:
+                    parent[ru] = rv
+        for size in Counter(find(v) for v in range(1, n + 1)).values():
+            tally[kept][size] += 1
+    return tally
+
+
+def assert_census_matches(graph, pi, expected):
+    """The census's per-size expected counts, mean root component minus one
+    and mean component count agree with ``expected`` (sizes 0..n) to 1e-12,
+    and none is negative."""
+    census = size_census(graph)
+    n = graph.n
+    counts = census.expected_counts(pi)
+    assert counts.shape == (n + 1,)
+    assert np.all(counts >= 0.0)
+    assert counts.tolist() == pytest.approx(expected, abs=1e-12)
+    root = census.mean_root_component_minus_one(pi)
+    assert root >= 0.0
+    assert root == pytest.approx(sum(c * s * (s - 1) for s, c in enumerate(expected)) / n, abs=1e-12)
+    total = census.mean_component_count(pi)
+    assert total >= 0.0
+    assert total == pytest.approx(sum(expected), abs=1e-12)
+
+
+@pytest.mark.parametrize("n,edges", BRUTE_FORCE_SHAPES)
+def test_size_census_matches_brute_force(n, edges):
+    tally = brute_force_component_counts(n, edges)
+    m = len(edges)
+    graph = CommunityGraph(n, edges)
+    for pi in CENSUS_PIS:
+        expected = [
+            sum(tally[k][s] * pi**k * (1.0 - pi) ** (m - k) for k in range(m + 1))
+            for s in range(n + 1)
+        ]
+        assert_census_matches(graph, pi, expected)
+
+
+@pytest.mark.parametrize("n", range(7, 13))
+def test_size_census_matches_gilbert_recursion(n):
+    graph = CommunityGraph(n, complete_edges(n))
+    for pi in CENSUS_PIS:
+        expected = [float(c) for c in gilbert_component_counts(n, pi)]
+        assert_census_matches(graph, pi, expected)
+
+
+def test_size_census_vertex_cap():
+    with pytest.raises(TooManyVertices):
+        size_census(CommunityGraph(13, path_edges(13)))

@@ -10,6 +10,7 @@ from rigclab import (
     canonical_key,
     complete_graph,
     critical_pi,
+    cycle_graph,
     critical_pi_bracket,
     generate_bcm,
     giant_prediction,
@@ -17,6 +18,7 @@ from rigclab import (
     harris_sweep,
     mu_pi_limit,
     percolate_rigc_graph,
+    path_graph,
     percolated_prediction,
     project_rigc,
     sample_params,
@@ -150,6 +152,55 @@ def test_percolated_prediction_against_oracle(p_estar, cat_estar):
     assert percolated_prediction(p_estar, cat_estar, 0.5).eta_l == pytest.approx(
         bisect_eta(inputs), abs=1e-9
     )
+
+
+def mixed_catalog():
+    # the seven shapes of the benchmark's percolation workload
+    return CommunityCatalog(
+        [
+            (complete_graph(2), 0.3),
+            (complete_graph(3), 0.2),
+            (path_graph(4), 0.15),
+            (cycle_graph(4), 0.1),
+            (complete_graph(4), 0.1),
+            (complete_graph(5), 0.1),
+            (cycle_graph(8), 0.05),
+        ]
+    )
+
+
+def test_theory_path_does_no_enumeration(monkeypatch):
+    from rigclab import community, percolation
+
+    p = Pmf({1: 0.35, 2: 0.3, 3: 0.2, 5: 0.1, 8: 0.05})
+    catalog = mixed_catalog()  # built first: catalogs key their shapes canonically
+    pis = (0.1, 0.3, 0.77)
+    # reference: the fixed point on the enumerated percolated catalog
+    reference = [
+        giant_prediction(TheoryInputs.from_p_catalog(p, mu_pi_limit(catalog, pi).catalog_pi))
+        for pi in pis
+    ]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the theory path enumerated edge subsets or named a shape")
+
+    for module, name in [
+        (community, "percolate_enumerate"),
+        (community, "_SubsetCensus"),
+        (community, "canonical_key"),
+        (percolation, "percolate_enumerate"),
+    ]:
+        monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(community, "_size_census_cache", {})
+
+    lo, hi = critical_pi_bracket(p, catalog, 1e-6)
+    assert hi - lo <= 1e-6
+    assert 0.0 < lo < hi < 1.0
+    for pi, ref in zip(pis, reference):
+        pred = percolated_prediction(p, catalog, pi)
+        assert pred.supercritical == ref.supercritical
+        for field in ("eta_l", "eta_r", "xi_l", "xi_r", "criticality_value"):
+            assert getattr(pred, field) == pytest.approx(getattr(ref, field), abs=1e-12), field
 
 
 def test_critical_pi_reference(p_estar, cat_estar):

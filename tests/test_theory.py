@@ -189,6 +189,24 @@ def test_edge_formulas_agree_on_mixed_catalog():
     ) == pytest.approx(edges_in_giant_rigc(inputs, pred), abs=1e-8)
 
 
+def test_size_only_inputs(inputs_estar):
+    sized = TheoryInputs.from_p_q(inputs_estar.p, Pmf({3: 1.0}))
+    assert sized.catalog is None and sized.rho is None
+    pred = giant_prediction(sized)
+    assert pred == giant_prediction(inputs_estar)
+    assert bcm_predictions(sized, pred) == bcm_predictions(inputs_estar, pred)
+    # the joint law and the edge formulas need community shapes
+    for formula in (
+        lambda: joint_degree_in_giant(sized, pred, 1, 2),
+        lambda: joint_degree_in_giant_table(sized, pred, 6),
+        lambda: default_truncation(sized),
+        lambda: edges_in_giant_rigc(sized, pred),
+        lambda: edges_in_giant_from_joint(sized, pred, 6),
+    ):
+        with pytest.raises(OutOfDomain):
+            formula()
+
+
 def test_bcm_reference_values(inputs_estar):
     pred = giant_prediction(inputs_estar)
     bcm = bcm_predictions(inputs_estar, pred)
