@@ -11,6 +11,7 @@ from . import errors
 from .community import (
     CommunityCatalog,
     CommunityGraph,
+    CommunityList,
     ComponentSizeCensus,
     PercolationProfile,
     canonical_form,

@@ -20,9 +20,17 @@ import numpy as np
 from . import explore as explore_mod
 from . import percolation as perc_mod
 from . import theory as theory_mod
-from .community import CommunityCatalog, CommunityGraph, complete_graph, cycle_graph, path_graph
+from .community import (
+    CommunityCatalog,
+    CommunityGraph,
+    CommunityList,
+    as_int,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+)
 from .components import giant_stats_bcm, giant_stats_rigc
-from .errors import ConfigError, KeyMismatch, LabError
+from .errors import ConfigError, KeyMismatch, LabError, OutOfDomain
 from .model import (
     build_params,
     empirical_catalog,
@@ -60,9 +68,11 @@ def _fail(path: str, message: str) -> None:
 
 
 def _int(value, path: str) -> int:
+    """An integer field: an int, an integral float (``1e5``) or a decimal
+    string; booleans and fractional numbers are refused, never truncated."""
     try:
-        return int(value)
-    except (TypeError, ValueError):
+        return as_int(value)
+    except (TypeError, ValueError, OutOfDomain):
         _fail(path, f"expected an integer, got {value!r}")
 
 
@@ -92,14 +102,14 @@ def _parse_pmf(obj, path: str) -> Pmf:
         _fail(path, str(exc))
 
 
+_NAMED_GRAPHS = {"complete": complete_graph, "path": path_graph, "cycle": cycle_graph}
+
+
 def _parse_graph(obj, path: str) -> CommunityGraph:
     try:
-        if "complete" in obj:
-            return complete_graph(int(obj["complete"]))
-        if "path" in obj:
-            return path_graph(int(obj["path"]))
-        if "cycle" in obj:
-            return cycle_graph(int(obj["cycle"]))
+        for name, make in _NAMED_GRAPHS.items():
+            if name in obj:
+                return make(as_int(obj[name]))
         return CommunityGraph.from_json_obj(obj)
     except (KeyError, ValueError, TypeError, LabError) as exc:
         _fail(path, f"bad community graph: {exc}")
@@ -140,16 +150,22 @@ class Experiment:
         if self.l_degrees is not None:
             if not isinstance(self.l_degrees, list) or not self.l_degrees:
                 _fail("inputs.l_degrees", "expected a nonempty list of integers")
-            if min(_int(d, "inputs.l_degrees") for d in self.l_degrees) < 1:
+            self.l_degrees = [
+                _int(d, f"inputs.l_degrees[{i}]") for i, d in enumerate(self.l_degrees)
+            ]
+            if min(self.l_degrees) < 1:
                 _fail("inputs.l_degrees", "every degree must be >= 1")
         self.catalog = (
             _parse_catalog(inputs["catalog"], "inputs.catalog") if "catalog" in inputs else None
         )
-        self.communities = (
-            [_parse_graph(g, f"inputs.communities[{i}]") for i, g in enumerate(inputs["communities"])]
-            if "communities" in inputs
-            else None
-        )
+        self.communities = inputs.get("communities")
+        if self.communities is not None:
+            if not isinstance(self.communities, list) or not self.communities:
+                _fail("inputs.communities", "expected a nonempty list of community graphs")
+            self.communities = CommunityList.of(
+                _parse_graph(g, f"inputs.communities[{i}]")
+                for i, g in enumerate(self.communities)
+            )
 
         if mode != "compare":
             if self.l_pmf is None and self.l_degrees is None:
@@ -203,7 +219,7 @@ class Experiment:
         _check_numbers(self.c_grid, "c_grid", lambda c: 0.0 < c <= 1.0, "(0, 1]")
         self.d_max = cfg.get("d_max")
         if self.d_max is not None:
-            _int(self.d_max, "d_max")
+            self.d_max = _int(self.d_max, "d_max")
         self.threads = _int(cfg.get("threads", 1), "threads")
         self.out_dir = Path(cfg.get("out_dir", "out"))
         self.tolerances = cfg.get("tolerances", {})
@@ -425,6 +441,7 @@ def _job_generate(job: tuple) -> tuple:
     params = exp.params_for(replica)
     bcm = generate_bcm(params, stream(exp.seed, replica, ROLE_MATCH))
     rigc = project_rigc(bcm, params.communities)
+    shape_objs = [g.to_json_obj() for g in params.communities.shapes]
     _write_columns(
         exp.out_dir / f"rigc_edges_r{replica}.csv",
         ["u", "v", "mult"],
@@ -434,7 +451,7 @@ def _job_generate(job: tuple) -> tuple:
         exp.out_dir / f"params_r{replica}.json",
         {
             "l_degrees": params.l_degrees.tolist(),
-            "communities": [g.to_json_obj() for g in params.communities],
+            "communities": [shape_objs[t] for t in params.communities.type_index.tolist()],
         },
     )
     return replica, {}

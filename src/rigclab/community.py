@@ -102,7 +102,15 @@ class CommunityGraph:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "CommunityGraph":
-        return cls(int(obj["n"]), [(int(u), int(v)) for u, v in obj["edges"]])
+        return cls(as_int(obj["n"]), [(as_int(u), as_int(v)) for u, v in obj["edges"]])
+
+
+def as_int(value) -> int:
+    """An integer read from JSON: booleans and fractional numbers are refused,
+    never truncated."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise OutOfDomain(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 def complete_graph(n: int) -> CommunityGraph:
@@ -117,6 +125,75 @@ def cycle_graph(n: int) -> CommunityGraph:
     if n < 3:
         raise OutOfDomain("cycles need at least 3 vertices")
     return CommunityGraph(n, [(i, i + 1) for i in range(1, n)] + [(1, n)])
+
+
+class CommunityList(Sequence):
+    """One community graph per group, stored as a table plus an index.
+
+    ``shapes`` holds distinct labeled shapes (distinct ``(n, edges)``) and
+    ``type_index`` one int64 entry per group, naming its row of ``shapes``;
+    a shape may be unused.  Reading it as a sequence yields each group's
+    graph, so the list behaves like a read-only tuple of ``CommunityGraph``.
+    """
+
+    __slots__ = ("shapes", "type_index", "shape_n")
+
+    def __init__(self, shapes: Iterable[CommunityGraph], type_index):
+        self.shapes = tuple(shapes)
+        if len(set(self.shapes)) != len(self.shapes):
+            raise OutOfDomain("community list shapes must be distinct labeled graphs")
+        index = np.array(type_index)
+        if index.size and index.dtype.kind not in "iu":
+            raise OutOfDomain(f"type_index must hold integers, got dtype {index.dtype}")
+        index = index.astype(np.int64, copy=False)
+        if index.ndim != 1:
+            raise OutOfDomain("type_index must be one-dimensional")
+        if len(index) and (index.min() < 0 or index.max() >= len(self.shapes)):
+            raise OutOfDomain(f"type_index outside 0..{len(self.shapes) - 1}")
+        index.flags.writeable = False
+        self.type_index = index
+        self.shape_n = np.array([g.n for g in self.shapes], dtype=np.int64)
+
+    @classmethod
+    def of(cls, graphs: Iterable[CommunityGraph]) -> "CommunityList":
+        """The list itself if it is one; otherwise its shapes in order of
+        first appearance, each group pointing at its own shape."""
+        if isinstance(graphs, CommunityList):
+            return graphs
+        ids: dict[CommunityGraph, int] = {}
+        index = [ids.setdefault(g, len(ids)) for g in graphs]
+        return cls(ids, np.array(index, dtype=np.int64))
+
+    def sizes(self) -> np.ndarray:
+        """Vertex count of every group."""
+        return self.shape_n[self.type_index]
+
+    def groups_by_shape(self) -> list[tuple[int, np.ndarray]]:
+        """(shape id, its groups in ascending order) for every used shape,
+        shapes in order of first appearance, from one stable sort."""
+        order = np.argsort(self.type_index, kind="stable")
+        counts = np.bincount(self.type_index, minlength=len(self.shapes))
+        starts = np.cumsum(counts) - counts
+        used = np.flatnonzero(counts)
+        # a stable sort leaves each shape's first appearance at its block start
+        used = used[np.argsort(order[starts[used]])]
+        return [(t, order[starts[t] : starts[t] + counts[t]]) for t in used.tolist()]
+
+    def __len__(self) -> int:
+        return len(self.type_index)
+
+    def __getitem__(self, i):
+        return self.shapes[self.type_index[i]]
+
+    def __iter__(self):
+        return map(self.shapes.__getitem__, self.type_index.tolist())
+
+    def __reduce__(self):
+        # rebuild through __init__, which checks the table and marks the index read-only
+        return CommunityList, (self.shapes, self.type_index)
+
+    def __repr__(self) -> str:
+        return f"CommunityList({len(self)} groups, {len(self.shapes)} shapes)"
 
 
 def _is_connected(n: int, edges: Sequence[tuple[int, int]]) -> bool:
@@ -194,34 +271,42 @@ class CommunityCatalog:
     """Frequency-weighted collection of community graphs.
 
     One item per isomorphism class (grouped by ``catalog_key``); weights are
-    strictly positive and sum to 1 within tolerance.
+    strictly positive and sum to 1 within tolerance.  Isomorphic graphs share
+    their vertex count, edge count and sorted degree sequence, so only items
+    that tie on those are compared by ``catalog_key``.
     """
 
     __slots__ = ("items", "_index")
 
     def __init__(self, items: Iterable[tuple[CommunityGraph, float]]):
-        merged: dict = {}
-        order: list = []
+        kept: list = []
+        by_invariant: dict[tuple, list[CommunityGraph]] = {}
         for graph, weight in items:
             w = float(weight)
             if w < 0.0:
                 raise NegativeWeight(f"catalog weight {w}")
             if w == 0.0:
                 continue
-            key = catalog_key(graph)
-            if key in merged:
-                raise NotNormalized(f"two catalog items share the canonical key {key}")
-            merged[key] = (graph, w)
-            order.append(key)
-        if not merged:
+            ties = by_invariant.setdefault(
+                (graph.n, graph.edge_count, tuple(sorted(graph.degrees()))), []
+            )
+            if ties:
+                key = catalog_key(graph)
+                if any(catalog_key(g) == key for g in ties):
+                    raise NotNormalized(f"two catalog items share the canonical key {key}")
+            ties.append(graph)
+            kept.append((graph, w))
+        if not kept:
             raise EmptySupport("catalog needs at least one weighted community")
-        total = sum(w for _, w in merged.values())
+        total = sum(w for _, w in kept)
         if abs(total - 1.0) > WEIGHT_SUM_TOL * 10:
             raise NotNormalized(f"catalog weights sum to {total!r}, not 1")
-        self.items = tuple((merged[k][0], merged[k][1] / total) for k in order)
-        self._index = {k: i for i, k in enumerate(order)}
+        self.items = tuple((g, w / total) for g, w in kept)
+        self._index = None
 
     def weight_of(self, graph: CommunityGraph) -> float:
+        if self._index is None:
+            self._index = {catalog_key(g): i for i, (g, _) in enumerate(self.items)}
         i = self._index.get(catalog_key(graph))
         return self.items[i][1] if i is not None else 0.0
 

@@ -12,12 +12,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .community import CommunityCatalog, CommunityGraph, catalog_key
+from .community import CommunityCatalog, CommunityGraph, CommunityList, catalog_key
 from .errors import (
     EmptySupport,
     HalfEdgeMismatch,
     InconsistentMatching,
     NotTwoRegularRight,
+    OutOfDomain,
     ZeroDegree,
 )
 from .pmf import Pmf
@@ -28,7 +29,7 @@ class ModelParams:
     """Degree-and-community input: one degree per individual, one graph per group."""
 
     l_degrees: np.ndarray
-    communities: tuple[CommunityGraph, ...]
+    communities: CommunityList
 
     @property
     def n_l(self) -> int:
@@ -43,24 +44,31 @@ class ModelParams:
         return int(self.l_degrees.sum())
 
     def r_degrees(self) -> np.ndarray:
-        return np.array([g.n for g in self.communities], dtype=np.int64)
+        return self.communities.sizes()
 
 
 def build_params(
     l_degrees: Sequence[int], communities: Sequence[CommunityGraph]
 ) -> ModelParams:
+    """Validated parameters; a plain sequence of graphs becomes a
+    ``CommunityList`` here, and a ``CommunityList`` (whose indices it checks
+    on construction) passes through."""
+    communities = CommunityList.of(communities)
     if len(l_degrees) == 0 or len(communities) == 0:
         raise EmptySupport("need at least one individual and one community")
-    degs = np.asarray(l_degrees, dtype=np.int64)
+    raw = np.asarray(l_degrees)
+    if not (raw.dtype.kind in "iu" or raw.dtype.kind == "f" and np.all(raw % 1 == 0)):
+        raise OutOfDomain("membership counts must be integers")
+    degs = raw.astype(np.int64)
     if degs.min() < 1:
         raise ZeroDegree("every membership count must be >= 1")
     total_l = int(degs.sum())
-    total_r = sum(g.n for g in communities)
+    total_r = int(communities.sizes().sum())
     if total_l != total_r:
         raise HalfEdgeMismatch(
             f"membership half-edges ({total_l}) != community roles ({total_r})"
         )
-    return ModelParams(l_degrees=degs, communities=tuple(communities))
+    return ModelParams(l_degrees=degs, communities=communities)
 
 
 def sample_params(
@@ -83,9 +91,10 @@ def sample_params(
         raise ZeroDegree("degree law must have support in {1, 2, ...}")
     target_h = math.ceil(target_n * l_pmf.mean())
 
-    sizes = np.array([g.n for g, _ in catalog.items], dtype=np.int64)
+    shapes = tuple(g for g, _ in catalog.items)
+    sizes = np.array([g.n for g in shapes], dtype=np.int64)
     mean_size = catalog.mean_size()
-    chosen: list[int] = []
+    chosen: list[np.ndarray] = []
     h = 0
     while h < target_h:
         chunk = max(64, int((target_h - h) / mean_size * 1.05) + 1)
@@ -93,12 +102,12 @@ def sample_params(
         csum = h + np.cumsum(sizes[idx])
         stop = int(np.searchsorted(csum, target_h))
         take = min(stop + 1, len(idx))
-        chosen.extend(idx[:take].tolist())
+        chosen.append(idx[:take])
         h = int(csum[take - 1])
 
     values = np.array(l_pmf.values, dtype=np.int64)
     probs = np.array(l_pmf.weights)
-    degs: list[int] = []
+    drawn: list[np.ndarray] = []
     s = 0
     while s < h:
         chunk = max(64, int((h - s) / l_pmf.mean() * 1.05) + 1)
@@ -106,18 +115,19 @@ def sample_params(
         csum = s + np.cumsum(draw)
         stop = int(np.searchsorted(csum, h))
         take = min(stop + 1, len(draw))
-        degs.extend(draw[:take].tolist())
+        drawn.append(draw[:take])
         s = int(csum[take - 1])
+    degs = np.concatenate(drawn)
     excess = s - h
     if excess > 0:
-        trimmed = max(1, degs[-1] - excess)
-        s -= degs[-1] - trimmed
+        trimmed = max(1, int(degs[-1]) - excess)
+        s -= int(degs[-1]) - trimmed
         degs[-1] = trimmed
     # unreachable under iid draws (excess <= last degree - 1), kept as a guard
-    degs.extend([1] * (h - s))
+    degs = np.concatenate([degs, np.ones(h - s, dtype=np.int64)])
 
-    communities = tuple(catalog.items[i][0] for i in chosen)
-    return build_params(np.array(degs, dtype=np.int64), communities)
+    communities = CommunityList(shapes, np.concatenate(chosen))
+    return build_params(degs, communities)
 
 
 def empirical_l_pmf(params: ModelParams) -> Pmf:
@@ -125,13 +135,17 @@ def empirical_l_pmf(params: ModelParams) -> Pmf:
 
 
 def empirical_catalog(params: ModelParams) -> CommunityCatalog:
+    """Frequency of each isomorphism class among the groups, classes in order
+    of first appearance, each represented by its first labeled shape."""
+    communities = params.communities
     counts: dict = {}
     rep: dict = {}
-    for g in params.communities:
+    for t, members in communities.groups_by_shape():
+        g = communities.shapes[t]
         key = catalog_key(g)
-        counts[key] = counts.get(key, 0) + 1
+        counts[key] = counts.get(key, 0) + len(members)
         rep.setdefault(key, g)
-    total = len(params.communities)
+    total = len(communities)
     return CommunityCatalog((rep[k], c / total) for k, c in counts.items())
 
 
@@ -266,37 +280,30 @@ def project_rigc(bcm: BcmGraph, communities: Sequence[CommunityGraph]) -> RigcGr
     """Copy every community edge onto the individuals holding its endpoint roles.
 
     Total multiplicity mass equals the total community edge count; one vertex
-    holding both endpoint roles yields a self-loop.  Communities are grouped
-    by their labeled shape so the transfer is a handful of array gathers.
+    holding both endpoint roles yields a self-loop.  The transfer is a few
+    array gathers per distinct shape.
     """
-    r_degrees = bcm.r_degrees
-    if len(communities) != len(r_degrees) or any(
-        g.n != d for g, d in zip(communities, r_degrees)
-    ):
+    communities = CommunityList.of(communities)
+    if len(communities) != bcm.n_r or not np.array_equal(communities.sizes(), bcm.r_degrees):
         raise InconsistentMatching("communities do not match the r-degree sequence")
-    groups: dict[tuple, list[int]] = {}
-    shapes: dict[tuple, CommunityGraph] = {}
-    for a, g in enumerate(communities):
-        key = (g.n, g.edges)
-        groups.setdefault(key, []).append(a)
-        shapes.setdefault(key, g)
     chunks_u: list[np.ndarray] = []
     chunks_v: list[np.ndarray] = []
-    for key, members in groups.items():
-        g = shapes[key]
+    for t, members in communities.groups_by_shape():
+        g = communities.shapes[t]
         if not g.edges:
             continue
-        local_u = np.array([u - 1 for u, _ in g.edges], dtype=np.int64)
-        local_v = np.array([v - 1 for _, v in g.edges], dtype=np.int64)
-        bases = bcm.r_offsets[np.array(members, dtype=np.int64)]
-        chunks_u.append((bases[:, None] + local_u[None, :]).ravel())
-        chunks_v.append((bases[:, None] + local_v[None, :]).ravel())
+        local = np.array(g.edges, dtype=np.int64) - 1
+        bases = bcm.r_offsets[members]
+        chunks_u.append((bases[:, None] + local[None, :, 0]).ravel())
+        chunks_v.append((bases[:, None] + local[None, :, 1]).ravel())
     if not chunks_u:
         return empty_rigc(bcm.n_l)
-    e1 = np.concatenate(chunks_u)
-    e2 = np.concatenate(chunks_v)
-    inv = bcm.inverse_matching()
-    return _aggregate_edges(bcm.n_l, bcm.l_owner[inv[e1]], bcm.l_owner[inv[e2]])
+    # holder[r] is the individual whose half-edge is matched to r-position r
+    holder = np.empty_like(bcm.l_owner)
+    holder[bcm.matching] = bcm.l_owner
+    return _aggregate_edges(
+        bcm.n_l, holder[np.concatenate(chunks_u)], holder[np.concatenate(chunks_v)]
+    )
 
 
 def contract_to_cm(bcm: BcmGraph) -> RigcGraph:

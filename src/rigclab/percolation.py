@@ -19,6 +19,7 @@ import numpy as np
 from .community import (
     CommunityCatalog,
     CommunityGraph,
+    CommunityList,
     ComponentSizeCensus,
     check_census_cap,
     component_members,
@@ -52,45 +53,66 @@ def percolate_rigc_graph(
     )
 
 
+def _distinct_rows(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first row of each distinct row, each row's distinct-row id) of a 2-D
+    bool array, distinct rows ordered by their bits read as a binary number
+    with column j worth 2^j."""
+    k, m = masks.shape
+    packed = np.zeros((k, -(-m // 64) * 8), dtype=np.uint8)
+    packed[:, : -(-m // 8)] = np.packbits(masks, axis=1, bitorder="little")
+    words = packed.view("<u8")
+    order = np.lexsort(words.T)  # stable, the last word most significant
+    ranked = words[order]
+    new = np.ones(k, dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    which = np.empty(k, dtype=np.int64)
+    which[order] = np.cumsum(new) - 1
+    return order[new], which
+
+
 def build_com_pi(
     communities: Sequence[CommunityGraph], pi: float, rng: np.random.Generator
-) -> list[CommunityGraph]:
+) -> CommunityList:
     """Percolate each community independently and concatenate the split pieces.
 
     Total vertex count is preserved, so the half-edge balance with any degree
-    sequence survives percolation.  Communities sharing a labeled shape share
-    one batched mask draw and one component split per distinct edge pattern.
+    sequence survives percolation.  Shapes are visited in order of first
+    appearance; the groups of one shape, in ascending order, share one
+    batched mask draw, and each distinct kept-edge pattern is split once.
+    The result lists every group's pieces in group order.
     """
     if not 0.0 <= pi <= 1.0:
         raise OutOfDomain(f"pi={pi} outside [0, 1]")
-    groups: dict[tuple, list[int]] = {}
-    shapes: dict[tuple, CommunityGraph] = {}
-    for a, g in enumerate(communities):
-        key = (g.n, g.edges)
-        groups.setdefault(key, []).append(a)
-        shapes.setdefault(key, g)
-    pieces_at: list = [None] * len(communities)
-    for key, members in groups.items():
-        g = shapes[key]
+    communities = CommunityList.of(communities)
+    # every distinct (shape, pattern) outcome is a run of piece ids in `table`
+    piece_ids: dict[CommunityGraph, int] = {}
+    table: list[int] = []
+    outcome_start: list[int] = []
+    outcome_len: list[int] = []
+    group_outcome = np.empty(len(communities), dtype=np.int64)
+    for t, members in communities.groups_by_shape():
+        g = communities.shapes[t]
         m = g.edge_count
         if m == 0 or pi >= 1.0 or pi <= 0.0:
-            fixed = percolate_sample(g, pi, rng)
-            for a in members:
-                pieces_at[a] = fixed
-            continue
-        masks = rng.random((len(members), m)) < pi
-        codes = masks @ (1 << np.arange(m))
-        by_code: dict[int, list[CommunityGraph]] = {}
-        for a, code in zip(members, codes.tolist()):
-            split = by_code.get(code)
-            if split is None:
-                kept = [g.edges[i] for i in range(m) if code >> i & 1]
-                split = by_code[code] = split_components(g.n, kept)
-            pieces_at[a] = split
-    out: list[CommunityGraph] = []
-    for split in pieces_at:
-        out.extend(split)
-    return out
+            splits = [percolate_sample(g, pi, rng)]
+            which = np.zeros(len(members), dtype=np.int64)
+        else:
+            masks = rng.random((len(members), m)) < pi
+            first_row, which = _distinct_rows(masks)
+            splits = [
+                split_components(g.n, [e for e, keep in zip(g.edges, row) if keep])
+                for row in masks[first_row].tolist()
+            ]
+        group_outcome[members] = len(outcome_start) + which
+        for split in splits:
+            outcome_start.append(len(table))
+            outcome_len.append(len(split))
+            table.extend(piece_ids.setdefault(piece, len(piece_ids)) for piece in split)
+
+    lens = np.array(outcome_len, dtype=np.int64)[group_outcome]
+    offsets = np.array(outcome_start, dtype=np.int64)[group_outcome] - (np.cumsum(lens) - lens)
+    positions = np.arange(int(lens.sum())) + np.repeat(offsets, lens)
+    return CommunityList(piece_ids, np.array(table, dtype=np.int64)[positions])
 
 
 @dataclass(frozen=True)
@@ -258,14 +280,14 @@ def sizebiased_comsize_check(
 ) -> SizeBiasedCheck:
     """Check that size-biasing the percolated size law matches the component
     of a uniformly chosen community role."""
+    communities = CommunityList.of(communities)
     # route (a): percolate the list once, size-bias its empirical size law
     pieces = build_com_pi(communities, pi, rng)
-    sizes = np.array([g.n for g in pieces], dtype=np.int64)
-    size_pmf = Pmf.from_counts(np.bincount(sizes))
+    size_pmf = Pmf.from_counts(np.bincount(pieces.sizes()))
     law_a = size_pmf.size_bias().shift_down_one().as_dict()
 
     # route (b): uniform role = size-biased community + uniform member
-    weights = np.array([g.n for g in communities], dtype=float)
+    weights = communities.sizes().astype(float)
     weights /= weights.sum()
     picks = rng.choice(len(communities), size=replicas, p=weights)
     counts: dict[int, int] = {}

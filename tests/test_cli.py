@@ -148,6 +148,46 @@ VALID_SAMPLED = dict(inputs={"l_pmf": {"1": 0.5, "3": 0.5}, "catalog": K3_CATALO
             "compare", {"theory_report": "missing.json", "empirical_csv": "missing.csv"},
             "theory_report", id="compare-missing-file",
         ),
+        pytest.param("giant", {"replicas": 1.7}, "replicas", id="replicas-fractional"),
+        pytest.param("giant", {"replicas": True}, "replicas", id="replicas-bool"),
+        pytest.param("giant", {"seed": 7.5}, "seed", id="seed-fractional"),
+        pytest.param("giant", {"target_n": 100.5}, "target_n", id="target-n-fractional"),
+        pytest.param("giant", {"threads": 1.5}, "threads", id="threads-fractional"),
+        pytest.param("theory", {"d_max": 2.5}, "d_max", id="d-max-fractional"),
+        pytest.param(
+            "giant", {"inputs": {"l_degrees": [1.5, 1.9, 1], "communities": [{"complete": 3}]}},
+            "inputs.l_degrees[0]", id="l-degrees-fractional",
+        ),
+        pytest.param(
+            "giant", {"inputs": {"l_degrees": [1, True, 1], "communities": [{"complete": 3}]}},
+            "inputs.l_degrees[1]", id="l-degrees-bool",
+        ),
+        pytest.param(
+            "giant",
+            {"inputs": {"l_pmf": {"1": 1.0},
+                        "catalog": [{"graph": {"complete": 2.5}, "weight": 1.0}]}},
+            "inputs.catalog[0].graph", id="catalog-graph-fractional",
+        ),
+        pytest.param(
+            "giant",
+            {"inputs": {"l_pmf": {"1": 1.0},
+                        "catalog": [{"graph": {"cycle": True}, "weight": 1.0}]}},
+            "inputs.catalog[0].graph", id="catalog-graph-bool",
+        ),
+        pytest.param(
+            "giant",
+            {"inputs": {"l_degrees": [1, 1], "communities": [{"n": 2.5, "edges": [[1, 2]]}]}},
+            "inputs.communities[0]", id="communities-n-fractional",
+        ),
+        pytest.param(
+            "giant",
+            {"inputs": {"l_degrees": [1, 1], "communities": [{"n": 2, "edges": [[1, 2.5]]}]}},
+            "inputs.communities[0]", id="communities-edge-fractional",
+        ),
+        pytest.param(
+            "giant", {"inputs": {"l_degrees": [1, 1], "communities": {"complete": 2}}},
+            "inputs.communities", id="communities-not-list",
+        ),
     ],
 )
 def test_malformed_config_exit_2(tmp_path, capsys, mode, change, path):
@@ -158,6 +198,20 @@ def test_malformed_config_exit_2(tmp_path, capsys, mode, change, path):
     assert err.startswith(f"config error: {path}:")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_integral_float_accepted_as_integer(tmp_path):
+    # JSON writes 1e5 as a float; an integral float is the integer it names
+    outs = []
+    for name, target_n in (("float", 1e5), ("int", 100_000)):
+        out = tmp_path / name
+        cfg = write_config(
+            tmp_path, f"{name}.json", out_dir=str(out), **{**VALID_SAMPLED, "target_n": target_n}
+        )
+        assert run(cfg, mode="giant") == 0
+        outs.append((out / "giant.csv").read_bytes())
+    assert outs[0] == outs[1]
+    assert abs(int(outs[0].splitlines()[1].split(b",")[2]) - 100_000) < 1_000
 
 
 @pytest.mark.parametrize("mode", ["theory", "pi-c"])
@@ -194,26 +248,30 @@ def test_giant_mode_thread_invariance(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "mode,files",
+    "mode,files,extra",
     [
         pytest.param(
             "explore",
             ["explore_summary.csv"]
             + [f"{kind}_r{r}.csv" for kind in ("trajectory", "components", "hitting")
                for r in range(3)],
+            {},
             id="explore",
         ),
         pytest.param(
             "generate",
             [f"{kind}_r{r}.{ext}" for kind, ext in (("rigc_edges", "csv"), ("params", "json"))
              for r in range(3)],
+            {},
             id="generate",
         ),
+        pytest.param("percolate", ["percolate.csv"], {"pi": 0.5}, id="percolate"),
+        pytest.param("sweep", ["sweep.csv"], {"pi_grid": [0.2, 0.5, 0.9]}, id="sweep"),
     ],
 )
-def test_replica_files_thread_invariant(tmp_path, mode, files):
+def test_replica_files_thread_invariant(tmp_path, mode, files, extra):
     out_a, out_b = tmp_path / "t1", tmp_path / "t2"
-    base = dict(inputs=ESTAR_INPUTS, target_n=2_000, replicas=3, seed=11)
+    base = dict(inputs=ESTAR_INPUTS, target_n=2_000, replicas=3, seed=11, **extra)
     cfg_a = write_config(tmp_path, "a.json", out_dir=str(out_a), threads=1, **base)
     cfg_b = write_config(tmp_path, "b.json", out_dir=str(out_b), threads=2, **base)
     assert run(cfg_a, mode=mode) == 0

@@ -8,8 +8,10 @@ from conftest import gilbert_component_counts
 from rigclab import (
     CommunityCatalog,
     CommunityGraph,
+    CommunityList,
     canonical_key,
     complete_graph,
+    cycle_graph,
     path_graph,
     percolate_enumerate,
     percolate_sample,
@@ -106,6 +108,75 @@ def test_catalog_rejects_duplicate_classes(k3):
     relabeled = CommunityGraph(3, [(2, 1), (3, 2), (1, 3)])
     with pytest.raises(NotNormalized):
         CommunityCatalog([(k3, 0.5), (relabeled, 0.5)])
+
+
+def test_catalog_rejects_relabeled_c8():
+    c8 = cycle_graph(8)
+    relabeled = c8.relabel([3, 7, 1, 8, 2, 6, 4, 5])
+    assert relabeled.edges != c8.edges
+    with pytest.raises(NotNormalized, match="share the canonical key"):
+        CommunityCatalog([(c8, 0.5), (relabeled, 0.5)])
+
+
+def test_catalog_keeps_equal_degree_sequences_apart():
+    # both 3-regular on 6 vertices with 9 edges, but the prism has triangles
+    # and K3,3 is bipartite, so they are two classes
+    prism = CommunityGraph(
+        6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (1, 4), (2, 5), (3, 6)]
+    )
+    k33 = CommunityGraph(6, [(u, v) for u in (1, 2, 3) for v in (4, 5, 6)])
+    cat = CommunityCatalog([(prism, 0.5), (k33, 0.5)])
+    assert [g for g, _ in cat.items] == [prism, k33]
+    assert cat.weight_of(k33.relabel([6, 5, 4, 3, 2, 1])) == 0.5
+
+
+def test_catalog_of_distinct_invariants_builds_no_canonical_key(monkeypatch):
+    from rigclab import community
+
+    monkeypatch.setattr(community, "_canonical_cache", {})
+    shapes = [complete_graph(2), complete_graph(3), path_graph(4), cycle_graph(4),
+              complete_graph(4), complete_graph(5), cycle_graph(8)]
+    weights = [0.3, 0.2, 0.15, 0.1, 0.1, 0.1, 0.05]
+    cat = CommunityCatalog(zip(shapes, weights))
+    assert [g for g, _ in cat.items] == shapes
+    assert community._canonical_cache == {}
+
+
+def test_community_list_reads_as_a_sequence(k1, k2, k3):
+    relabeled = CommunityGraph(3, [(1, 2), (1, 3)])  # P3 centred on vertex 1
+    graphs = [k3, k1, relabeled, k3, path_graph(3), k2, k1]
+    cl = CommunityList.of(graphs)
+    assert cl.shapes == (k3, k1, relabeled, path_graph(3), k2)
+    assert cl.type_index.tolist() == [0, 1, 2, 0, 3, 4, 1]
+    assert len(cl) == 7
+    assert list(cl) == graphs
+    assert [cl[i] for i in range(-7, 7)] == graphs + graphs
+    assert cl.sizes().tolist() == [g.n for g in graphs]
+    assert CommunityList.of(cl) is cl
+    with pytest.raises(ValueError):
+        cl.type_index[0] = 1
+
+
+def test_community_list_rejects_bad_tables(k2, k3):
+    with pytest.raises(OutOfDomain):
+        CommunityList((k2, k3), np.array([0, 2]))
+    with pytest.raises(OutOfDomain):
+        CommunityList((k2, k3), np.array([-1]))
+    with pytest.raises(OutOfDomain):
+        CommunityList((k2, k3, complete_graph(2)), np.array([0]))
+    with pytest.raises(OutOfDomain):
+        CommunityList((k2, k3), [0.7])  # never truncated to 0
+    with pytest.raises(OutOfDomain):
+        CommunityList((k2, k3), np.array([True]))
+
+
+def test_community_list_owns_its_index(k2, k3):
+    index = np.array([0, 1, 1])
+    cl = CommunityList((k2, k3), index)
+    index[0] = 5
+    assert cl.type_index.tolist() == [0, 1, 1]
+    assert list(cl) == [k2, k3, k3]
+    assert len(CommunityList((k2,), [])) == 0
 
 
 def test_percolate_enumerate_pi_one(k3):
@@ -218,6 +289,24 @@ def test_graph_json_roundtrip(k3):
     assert CommunityGraph.from_json_obj(obj) == k3
     cat = CommunityCatalog([(k3, 1.0)])
     assert CommunityCatalog.from_json_obj(cat.to_json_obj()) == cat
+    # JSON integers may be written as integral floats
+    assert CommunityGraph.from_json_obj({"n": 3.0, "edges": [[1, 2.0], [1, 3], [2, 3]]}) == k3
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"n": 2.7, "edges": [[1, 2]]},
+        {"n": 2, "edges": [[1, 2.9]]},
+        {"n": True, "edges": []},
+        {"n": 2, "edges": [[True, 2]]},
+    ],
+)
+def test_graph_json_refuses_non_integers(obj):
+    with pytest.raises(OutOfDomain):
+        CommunityGraph.from_json_obj(obj)
+    with pytest.raises(OutOfDomain):
+        CommunityCatalog.from_json_obj([{"graph": obj, "weight": 1.0}])
 
 
 # -- component-size census against independent oracles ------------------------------

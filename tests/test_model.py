@@ -8,9 +8,12 @@ from scipy.stats import chisquare
 from rigclab import (
     BcmGraph,
     CommunityCatalog,
+    CommunityGraph,
     Pmf,
     build_params,
     complete_graph,
+    cycle_graph,
+    path_graph,
     contract_to_cm,
     empirical_catalog,
     empirical_l_pmf,
@@ -18,7 +21,13 @@ from rigclab import (
     project_rigc,
     sample_params,
 )
-from rigclab.errors import HalfEdgeMismatch, InconsistentMatching, NotTwoRegularRight, ZeroDegree
+from rigclab.errors import (
+    HalfEdgeMismatch,
+    InconsistentMatching,
+    NotTwoRegularRight,
+    OutOfDomain,
+    ZeroDegree,
+)
 from conftest import philox
 
 
@@ -124,6 +133,52 @@ def test_projection_mass_and_handshake(p_estar, cat_estar):
     total_edges = sum(g.edge_count for g in params.communities)
     assert rigc.total_multiplicity() == total_edges
     assert rigc.projected_degrees().sum() == 2 * total_edges
+
+
+def plain_projection(bcm, communities):
+    """Edge multiplicities by a loop over every group and every edge."""
+    inv = bcm.inverse_matching()
+    counts = Counter()
+    for a, g in enumerate(communities):
+        base = int(bcm.r_offsets[a])
+        for u, v in g.edges:
+            x = int(bcm.l_owner[inv[base + u - 1]])
+            y = int(bcm.l_owner[inv[base + v - 1]])
+            counts[(min(x, y), max(x, y))] += 1
+    return dict(counts)
+
+
+def test_projection_matches_plain_loop(k1, k2, k3):
+    catalog = CommunityCatalog(
+        [(k1, 0.2), (k2, 0.2), (k3, 0.2), (path_graph(4), 0.2), (cycle_graph(5), 0.2)]
+    )
+    for seed in range(3):
+        params = sample_params(Pmf({1: 0.4, 2: 0.4, 4: 0.2}), catalog, 2_000, philox(seed))
+        assert {g.n for g in params.communities} == {1, 2, 3, 4, 5}
+        bcm = generate_bcm(params, philox(seed, 0, 1))
+        assert project_rigc(bcm, params.communities).multiplicities() == plain_projection(
+            bcm, params.communities
+        )
+
+    # an explicit list repeating a labeled shape and holding a relabeled copy
+    star = CommunityGraph(4, [(1, 2), (1, 3), (1, 4)])
+    relabeled = CommunityGraph(4, [(4, 1), (4, 2), (4, 3)])
+    communities = [star, k1, relabeled, star, k2, relabeled, star, k1]
+    l_degrees = [1, 2, 3, 1, 2, 1, 2, 1, 2, 2, 1, 1, 2, 3]
+    params = build_params(l_degrees, communities)
+    for seed in range(20):
+        bcm = generate_bcm(params, philox(seed, 1, 1))
+        expected = plain_projection(bcm, communities)
+        assert project_rigc(bcm, communities).multiplicities() == expected
+        assert project_rigc(bcm, params.communities).multiplicities() == expected
+
+
+def test_build_params_rejects_fractional_degrees(k2):
+    with pytest.raises(OutOfDomain):
+        build_params([1.5, 0.5], [k2])
+    with pytest.raises(OutOfDomain):
+        build_params([True, True], [k2])
+    assert build_params([1.0, 1.0], [k2]).l_degrees.tolist() == [1, 1]
 
 
 def test_projection_inconsistent(k2, k3):

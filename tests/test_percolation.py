@@ -3,6 +3,8 @@ import pytest
 
 from rigclab import (
     CommunityCatalog,
+    CommunityGraph,
+    CommunityList,
     Pmf,
     TheoryInputs,
     build_com_pi,
@@ -55,8 +57,67 @@ def test_build_com_pi_conserves_roles(k3):
     communities = [k3] * 200
     pieces = build_com_pi(communities, 0.35, rng)
     assert sum(g.n for g in pieces) == 600
-    assert build_com_pi([k3], 1.0, rng) == [k3]
+    assert list(build_com_pi([k3], 1.0, rng)) == [k3]
     assert [g.n for g in build_com_pi([k3], 0.0, rng)] == [1, 1, 1]
+
+
+def reference_split(n, kept):
+    """Components of a graph on 1..n, ordered by smallest vertex and
+    renumbered 1..m in label order, by repeated label propagation."""
+    label = list(range(n + 1))
+    changed = True
+    while changed:
+        changed = False
+        for u, v in kept:
+            low = min(label[u], label[v])
+            if label[u] != low or label[v] != low:
+                label[u] = label[v] = low
+                changed = True
+    pieces = []
+    for root in range(1, n + 1):
+        members = [v for v in range(1, n + 1) if label[v] == root]
+        if members:
+            rank = {old: i + 1 for i, old in enumerate(members)}
+            sub = [(rank[u], rank[v]) for u, v in kept if u in rank]
+            pieces.append(CommunityGraph(len(members), sub))
+    return pieces
+
+
+def reference_com_pi(groups, pi, rng):
+    """Per-group pieces with the documented draw order: shapes in order of
+    first appearance, one (groups, edges) uniform draw per shape, its rows
+    going to the shape's groups in ascending order."""
+    shapes = list(dict.fromkeys(groups))
+    kept_of = [None] * len(groups)
+    for g in shapes:
+        members = [a for a, h in enumerate(groups) if h == g]
+        if 0.0 < pi < 1.0:
+            keep = (rng.random((len(members), g.edge_count)) < pi).tolist()
+        else:
+            keep = [[pi >= 1.0] * g.edge_count] * len(members)
+        for a, row in zip(members, keep):
+            kept_of[a] = [e for e, k in zip(g.edges, row) if k]
+    return [reference_split(g.n, kept) for g, kept in zip(groups, kept_of)]
+
+
+@pytest.mark.parametrize("pi", [0.0, 0.3, 0.77, 1.0])
+def test_build_com_pi_matches_per_group_reference(k1, k2, k3, p3, pi):
+    relabeled = CommunityGraph(3, [(1, 2), (1, 3)])
+    k12 = complete_graph(12)  # 66 edges, more than one 64-bit mask code holds
+    order = philox(31).integers(0, 6, 300)
+    groups = [(cycle_graph(5), k3, k1, relabeled, p3, k2)[i] for i in order] + [k12] * 40
+    # a shape table whose order is not the order of first appearance, with
+    # one shape that no group uses
+    table = (k2, k12, p3, cycle_graph(5), complete_graph(4), k1, k3, relabeled)
+    listed = CommunityList(table, [table.index(g) for g in groups])
+    assert list(listed) == groups
+
+    expected = reference_com_pi(groups, pi, philox(32))
+    for g, split in zip(groups, expected):
+        assert sum(piece.n for piece in split) == g.n
+    flat = [piece for split in expected for piece in split]
+    assert list(build_com_pi(listed, pi, philox(32))) == flat
+    assert list(build_com_pi(groups, pi, philox(32))) == flat
 
 
 def test_build_com_pi_type_frequencies(k3, p3, k2, k1):
