@@ -40,17 +40,19 @@ def bcm_components(bcm: BcmGraph) -> np.ndarray:
     return _labels(bcm.n_l + bcm.n_r, lv, bcm.n_l + rv)
 
 
-def _largest_label(labels: np.ndarray, sizes: np.ndarray) -> int:
-    """Label of the largest component; ties go to the lowest vertex id."""
-    best = sizes.max()
-    tied = np.flatnonzero(sizes == best)
-    if len(tied) == 1:
-        return int(tied[0])
-    tied_set = set(tied.tolist())
-    for lab in labels:
-        if int(lab) in tied_set:
-            return int(lab)
-    raise AssertionError("unreachable")
+def _largest_label(sizes: np.ndarray) -> int:
+    """Label of the largest component; ties go to the lowest vertex id.
+
+    ``_labels`` numbers components in order of their lowest vertex (scipy's
+    ``connected_components`` labels them as it meets them in vertex order),
+    so the tied component holding the lowest vertex is the first maximum.
+    """
+    return int(np.argmax(sizes))
+
+
+def _second_largest(sizes: np.ndarray) -> int:
+    """Size of the second-largest component; 0 when there is only one."""
+    return int(np.partition(sizes, -2)[-2]) if len(sizes) > 1 else 0
 
 
 @dataclass(frozen=True)
@@ -88,11 +90,7 @@ class BcmGiantStats:
         }
 
 
-def giant_stats_rigc(
-    graph: RigcGraph,
-    params: ModelParams | None = None,
-    labels: np.ndarray | None = None,
-) -> GiantStats:
+def giant_stats_rigc(graph: RigcGraph, params: ModelParams | None = None) -> GiantStats:
     """Largest-component statistics of the projected graph.
 
     ``params`` only fills ``joint_in_giant``, which maps (membership count,
@@ -101,13 +99,12 @@ def giant_stats_rigc(
     empty.  The CLI's ``giant`` mode requests it for ``joint.csv``; ``sweep``
     and ``percolate`` report no joint law and do not.
     """
-    if labels is None:
-        labels = rigc_components(graph)
+    labels = rigc_components(graph)
     n = graph.n_vertices
     sizes = np.bincount(labels)
-    giant = _largest_label(labels, sizes)
+    giant = _largest_label(sizes)
     c1 = int(sizes[giant])
-    c2 = int(np.sort(sizes)[-2]) if len(sizes) > 1 else 0
+    c2 = _second_largest(sizes)
 
     joint: dict[tuple[int, int], float] = {}
     if params is not None:
@@ -140,13 +137,12 @@ def giant_stats_rigc(
     )
 
 
-def giant_stats_bcm(bcm: BcmGraph, labels: np.ndarray | None = None) -> BcmGiantStats:
+def giant_stats_bcm(bcm: BcmGraph) -> BcmGiantStats:
     """Largest-component statistics of the bipartite graph (ranked by total size)."""
-    if labels is None:
-        labels = bcm_components(bcm)
+    labels = bcm_components(bcm)
     n, m = bcm.n_l, bcm.n_r
     sizes = np.bincount(labels)
-    giant = _largest_label(labels, sizes)
+    giant = _largest_label(sizes)
 
     l_mask = labels[:n] == giant
     r_mask = labels[n:] == giant

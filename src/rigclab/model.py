@@ -251,24 +251,13 @@ class RigcGraph:
         return deg.astype(np.int64)
 
 
-def _aggregate_edges(n: int, u: np.ndarray, v: np.ndarray, mult: np.ndarray | None = None) -> RigcGraph:
+def _aggregate_edges(n: int, u: np.ndarray, v: np.ndarray) -> RigcGraph:
+    """One edge per distinct unordered pair (u <= v), its multiplicity the
+    number of times the pair occurs; ``u`` and ``v`` are int64."""
     lo = np.minimum(u, v)
     hi = np.maximum(u, v)
-    code = lo.astype(np.int64) * n + hi
-    if mult is None:
-        uniq, counts = np.unique(code, return_counts=True)
-    else:
-        order = np.argsort(code, kind="stable")
-        code = code[order]
-        m = np.asarray(mult)[order]
-        uniq, start = np.unique(code, return_index=True)
-        counts = np.add.reduceat(m, start) if len(code) else np.array([], dtype=np.int64)
-    return RigcGraph(
-        n_vertices=n,
-        edge_u=(uniq // n).astype(np.int64),
-        edge_v=(uniq % n).astype(np.int64),
-        edge_mult=counts.astype(np.int64),
-    )
+    uniq, counts = np.unique(lo * n + hi, return_counts=True)
+    return RigcGraph(n_vertices=n, edge_u=uniq // n, edge_v=uniq % n, edge_mult=counts)
 
 
 def empty_rigc(n: int) -> RigcGraph:

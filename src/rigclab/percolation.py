@@ -28,9 +28,9 @@ from .community import (
     size_census,
     split_components,
 )
-from .components import GiantStats, giant_stats_rigc
+from .components import GiantStats, _labels, _largest_label, _second_largest
 from .errors import NotSupercritical, OutOfDomain
-from .model import ModelParams, RigcGraph, _aggregate_edges, empty_rigc
+from .model import RigcGraph
 from .pmf import Pmf
 from .theory import GiantPrediction, TheoryInputs, giant_prediction
 
@@ -230,35 +230,66 @@ def critical_pi(p: Pmf, catalog: CommunityCatalog, tol: float = 1e-6) -> float:
 
 
 def harris_sweep(
-    graph: RigcGraph,
-    pi_grid: Sequence[float],
-    rng: np.random.Generator,
-    params: ModelParams | None = None,
+    graph: RigcGraph, pi_grid: Sequence[float], rng: np.random.Generator
 ) -> list[GiantStats]:
     """Giant statistics along a retention grid under one shared coupling.
 
-    A single uniform variate per edge instance realizes percolation at every
-    pi simultaneously, so the giant fraction is pointwise nondecreasing along
-    the (ascending) grid.  ``params`` only fills each point's
-    ``joint_in_giant`` (see ``giant_stats_rigc``); the CLI's ``sweep`` mode
-    reports no joint law and does not pass it.
+    A single uniform variate per edge instance (unit of multiplicity, units in
+    edge order) realizes percolation at every pi simultaneously: a unit is
+    kept at pi when its variate is <= pi.  The giant fraction is therefore
+    pointwise nondecreasing along the (ascending) grid, and one pass serves
+    every point (Newman & Ziff, Phys. Rev. E 64, 016706 (2001)): units are
+    sorted once by variate, and at each point only the units that entered
+    since the previous point are merged.  They are contracted onto the
+    current components, whose sizes and kept-unit counts (self-loops
+    included) are folded along the merge.  A point costs its entered units
+    plus one pass over the current components, so dense grids are cheap.
+    Components stay numbered by their lowest vertex, so the giant is the
+    first largest component, and ties go to the lowest vertex id as in
+    ``giant_stats_rigc``.  ``joint_in_giant`` is left empty.
     """
     grid = list(pi_grid)
     if any(not 0.0 <= x <= 1.0 for x in grid):
         raise OutOfDomain("pi grid must lie in [0, 1]")
     if sorted(grid) != grid:
         raise OutOfDomain("pi grid must be sorted ascending")
+    n = graph.n_vertices
     units_u = np.repeat(graph.edge_u, graph.edge_mult)
     units_v = np.repeat(graph.edge_v, graph.edge_mult)
     coupling = rng.random(len(units_u))
+    order = np.argsort(coupling)  # not stable: a point keeps a set, whatever the order
+    ends = np.searchsorted(coupling[order], grid, side="right").tolist()
+    units_u = units_u[order]
+    units_v = units_v[order]
+
+    # per vertex its component; per component its size and kept units (floats
+    # hold these counts exactly, as np.bincount's weights need).  ``_labels``
+    # numbers merged components by their lowest old component, so components
+    # stay numbered by their lowest vertex from point to point.
+    label = np.arange(n)
+    sizes = np.ones(n)
+    kept = np.zeros(n)
     out = []
-    for pi in grid:
-        mask = coupling <= pi
-        if mask.any():
-            sub = _aggregate_edges(graph.n_vertices, units_u[mask], units_v[mask])
-        else:
-            sub = empty_rigc(graph.n_vertices)
-        out.append(giant_stats_rigc(sub, params))
+    start = 0
+    for end in ends:
+        if end > start:
+            cu = label[units_u[start:end]]
+            cv = label[units_v[start:end]]
+            merged = _labels(len(sizes), cu, cv)
+            sizes = np.bincount(merged, weights=sizes)
+            kept = np.bincount(merged, weights=kept + np.bincount(cu, minlength=len(kept)))
+            label = merged[label]
+            start = end
+        giant = _largest_label(sizes)
+        out.append(
+            GiantStats(
+                n_vertices=n,
+                c1_fraction=int(sizes[giant]) / n,
+                c2_fraction=_second_largest(sizes) / n,
+                joint_in_giant={},
+                edges_in_giant_per_N=int(kept[giant]) / n,
+            )
+        )
     return out
 
 

@@ -15,6 +15,7 @@ from rigclab import (
     generate_bcm,
     giant_stats_bcm,
     giant_stats_rigc,
+    harris_sweep,
     path_graph,
     project_rigc,
     rigc_components,
@@ -95,6 +96,24 @@ def test_tie_break_lowest_vertex_id():
     # determinism: repeated calls give identical answers
     assert giant_stats_rigc(g).as_dict() == stats.as_dict()
     assert labels[0] == labels[1]
+
+
+def test_giant_tie_goes_to_lowest_vertex():
+    # {0, 4} and {1, 2} tie at two vertices; {1, 2}'s edges come first and
+    # carry more kept units, so only the lowest-vertex rule picks {0, 4}, and
+    # only counting self-loop units gives it 3 units
+    from rigclab.model import RigcGraph
+
+    g = RigcGraph(
+        n_vertices=6,
+        edge_u=np.array([1, 2, 0, 0]),
+        edge_v=np.array([2, 2, 4, 0]),
+        edge_mult=np.array([1, 3, 1, 2]),
+    )
+    swept = harris_sweep(g, [1], philox(9))[0]
+    for stats in (giant_stats_rigc(g), swept):
+        assert stats.c1_fraction == stats.c2_fraction == 2 / 6
+        assert stats.edges_in_giant_per_N == 3 / 6
 
 
 def test_joint_sums_to_c1(p_estar, cat_estar):

@@ -119,7 +119,7 @@ def test_critical_pi_brackets_empirical_transition(mixed, mixed_instance):
     pi_c = rl.critical_pi(p, catalog, 1e-4)
     assert 0.0 < pi_c < 1.0
     sweep = rl.harris_sweep(
-        rigc, [max(pi_c - 0.15, 0.01), min(pi_c + 0.25, 1.0)], philox(71, 0, 5), params
+        rigc, [max(pi_c - 0.15, 0.01), min(pi_c + 0.25, 1.0)], philox(71, 0, 5)
     )
     assert sweep[0].c1_fraction < 0.05
     assert sweep[1].c1_fraction > 0.1

@@ -1,3 +1,6 @@
+import json
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from rigclab import (
     CommunityGraph,
     CommunityList,
     Pmf,
+    RigcGraph,
     TheoryInputs,
     build_com_pi,
     build_params,
@@ -313,7 +317,7 @@ def test_harris_sweep_monotone_and_endpoints(p_estar, cat_estar):
     params = sample_params(p_estar, cat_estar, 3_000, philox(42))
     rigc = project_rigc(generate_bcm(params, philox(42, 0, 1)), params.communities)
     grid = np.linspace(0.0, 1.0, 11).tolist()
-    stats = harris_sweep(rigc, grid, philox(42, 0, 2), params)
+    stats = harris_sweep(rigc, grid, philox(42, 0, 2))
     c1 = [s.c1_fraction for s in stats]
     assert all(b >= a - 1e-12 for a, b in zip(c1, c1[1:]))
     assert stats[0].edges_in_giant_per_N == 0.0
@@ -327,6 +331,106 @@ def test_harris_sweep_grid_validation(p_estar, cat_estar):
     rigc = project_rigc(generate_bcm(params, philox(43, 0, 1)), params.communities)
     with pytest.raises(OutOfDomain):
         harris_sweep(rigc, [0.5, 0.2], philox(43, 0, 2))
+
+
+def sweep_oracle(graph, grid, rng):
+    """(c1, c2, edges in giant) / N at every grid point, each point from scratch.
+
+    One variate per unit of multiplicity, units in edge order, as
+    ``harris_sweep`` documents; a unit is kept at pi when its variate is
+    <= pi.  A plain union-find whose root is always the lowest vertex of its
+    component picks the largest component, ties to the lowest root (the
+    lowest-vertex rule), and counts every kept unit, self-loops included, at
+    its component.
+    """
+    units = [
+        (u, v)
+        for u, v, m in zip(graph.edge_u.tolist(), graph.edge_v.tolist(), graph.edge_mult.tolist())
+        for _ in range(m)
+    ]
+    coupling = rng.random(len(units)).tolist()
+    n = graph.n_vertices
+    out = []
+    for pi in grid:
+        parent = list(range(n))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        kept = [uv for uv, c in zip(units, coupling) if c <= pi]
+        for u, v in kept:
+            ru, rv = find(u), find(v)
+            parent[max(ru, rv)] = min(ru, rv)
+        size = Counter(find(x) for x in range(n))
+        units_at = Counter(find(u) for u, _ in kept)
+        giant = min(size, key=lambda root: (-size[root], root))
+        ranked = sorted(size.values(), reverse=True) + [0]
+        out.append((size[giant] / n, ranked[1] / n, units_at[giant] / n))
+    return out
+
+
+def swept(graph, grid, rng):
+    return [
+        (s.c1_fraction, s.c2_fraction, s.edges_in_giant_per_N)
+        for s in harris_sweep(graph, grid, rng)
+    ]
+
+
+def rigc_of(n, edges):
+    """RigcGraph from (u, v, multiplicity) triples, in the given edge order."""
+    u, v, m = np.array(edges, dtype=np.int64).reshape(-1, 3).T
+    return RigcGraph(n_vertices=n, edge_u=u, edge_v=v, edge_mult=m)
+
+
+def test_harris_sweep_matches_union_find_oracle():
+    grid = [0, 0.05, 0.1, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6, 0.75, 0.9, 1]
+    for seed in range(60):
+        rng = philox(45, seed)
+        n = int(rng.integers(1, 13))
+        m = int(rng.integers(0, 2 * n + 1))
+        pairs = np.sort(rng.integers(0, n, size=(m, 2)), axis=1)
+        mult = rng.integers(1, 4, size=m)
+        g = rigc_of(n, np.column_stack([pairs, mult]))
+        assert swept(g, grid, philox(45, seed, 5)) == sweep_oracle(g, grid, philox(45, seed, 5))
+
+
+def test_harris_sweep_oracle_on_loops_multi_edges_and_edgeless():
+    loops = rigc_of(
+        9,
+        [(0, 0, 3), (0, 5, 2), (1, 2, 1), (2, 2, 2), (3, 4, 4), (4, 4, 1), (5, 8, 1), (6, 7, 3),
+         (7, 7, 2)],
+    )
+    edgeless = rigc_of(5, [])
+    base = np.linspace(0.0, 1.0, 41).tolist()
+    for seed in range(20):
+        for g in (loops, edgeless):
+            # some points sit exactly on a unit's variate, where that unit is kept
+            on_units = philox(46, seed).random(g.total_multiplicity())[::4].tolist()
+            grid = sorted(base + on_units)
+            assert swept(g, grid, philox(46, seed)) == sweep_oracle(g, grid, philox(46, seed))
+    assert swept(edgeless, [0, 1], philox(46)) == [(0.2, 0.2, 0.0)] * 2
+
+
+def test_harris_sweep_json_int_endpoints_and_repeats(p_estar, cat_estar):
+    params = sample_params(p_estar, cat_estar, 400, philox(47))
+    rigc = project_rigc(generate_bcm(params, philox(47, 0, 1)), params.communities)
+    grid = json.loads("[0, 0.3, 0.3, 0.45, 0.45, 0.45, 1]")
+    got = swept(rigc, grid, philox(47, 0, 2))
+    assert got == sweep_oracle(rigc, grid, philox(47, 0, 2))
+    assert got[1] == got[2] and got[3] == got[5]
+    assert got[0][2] == 0.0
+    assert got[-1] == swept(rigc, [1.0], philox(47, 0, 2))[0]
+
+
+def test_harris_sweep_subgrid_of_fine_grid(p_estar, cat_estar):
+    params = sample_params(p_estar, cat_estar, 3_000, philox(48))
+    rigc = project_rigc(generate_bcm(params, philox(48, 0, 1)), params.communities)
+    fine = np.linspace(0.0, 1.0, 201).tolist()
+    picks = [0, 13, 40, 41, 99, 150, 200]
+    full = swept(rigc, fine, philox(48, 0, 2))
+    assert [full[i] for i in picks] == swept(rigc, [fine[i] for i in picks], philox(48, 0, 2))
 
 
 def test_sizebiased_check_trivial(k3):

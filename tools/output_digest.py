@@ -65,7 +65,11 @@ INPUTS = {"triangles": TRIANGLES, "mixed": MIXED, "explicit": explicit_inputs()}
 SEEDS = (7, 4101, 5150)
 THREADS = (1, 2)
 SCALE = {"target_n": 3_000, "replicas": 2}
-RETENTION = {"percolate": {"pi": 0.5}, "sweep": {"pi_grid": [0.1, 0.3, 0.5, 0.7, 0.9]}}
+# the sweep grid has integer endpoints as JSON gives them, a repeated point, and
+# fine stretches around pi_c of the mixed catalog (0.141) and of triangles (0.278)
+PI_GRID = [0, 0.1, 0.12, 0.13, 0.14, 0.15, 0.16, 0.2,
+           0.26, 0.27, 0.28, 0.29, 0.3, 0.5, 0.5, 0.7, 0.9, 1]
+RETENTION = {"percolate": {"pi": 0.5}, "sweep": {"pi_grid": PI_GRID}}
 
 
 def digest_tree(root: Path) -> list[tuple[str, str]]:
