@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -29,7 +30,7 @@ from .community import (
     cycle_graph,
     path_graph,
 )
-from .components import giant_stats_bcm, giant_stats_rigc
+from .components import giant_stats_bcm, giant_stats_rigc, rigc_components
 from .errors import ConfigError, KeyMismatch, LabError, OutOfDomain
 from .model import (
     build_params,
@@ -221,6 +222,8 @@ class Experiment:
         if self.d_max is not None:
             self.d_max = _int(self.d_max, "d_max")
         self.threads = _int(cfg.get("threads", 1), "threads")
+        if self.threads < 1:
+            _fail("threads", "must be >= 1")
         self.out_dir = Path(cfg.get("out_dir", "out"))
         self.tolerances = cfg.get("tolerances", {})
         self.theory_report = cfg.get("theory_report")
@@ -317,10 +320,16 @@ def _write_columns(path: Path, header: list[str], columns: list[np.ndarray]) -> 
 
 
 def _map_replicas(fn, jobs: list, threads: int) -> list:
-    if threads <= 1 or len(jobs) <= 1:
+    """Results of ``fn`` over ``jobs``, sorted by replica.
+
+    The pool has at most one worker per job and per CPU: a fork-based pool
+    starts all of its workers at the first submit, whatever the job count.
+    """
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    if workers <= 1:
         results = [fn(job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(fn, jobs))
     return sorted(results, key=lambda item: item[0])
 
@@ -334,8 +343,9 @@ def _job_giant(job: tuple) -> tuple:
     params = exp.params_for(replica)
     bcm = generate_bcm(params, stream(exp.seed, replica, ROLE_MATCH))
     rigc = project_rigc(bcm, params.communities)
-    stats = giant_stats_rigc(rigc, params)
-    bstats = giant_stats_bcm(bcm)
+    labels = rigc_components(rigc)
+    stats = giant_stats_rigc(rigc, params, labels)
+    bstats = giant_stats_bcm(bcm, labels)
     row = {
         "seed": exp.seed,
         "replica": replica,

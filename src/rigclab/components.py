@@ -34,10 +34,23 @@ def rigc_components(graph: RigcGraph) -> np.ndarray:
     return _labels(graph.n_vertices, graph.edge_u[keep], graph.edge_v[keep])
 
 
+def _first_holders(bcm: BcmGraph) -> np.ndarray:
+    """Per group: the individual matched to its first role."""
+    return bcm.holder[bcm.r_offsets[:-1]]
+
+
 def bcm_components(bcm: BcmGraph) -> np.ndarray:
-    """Labels over the union of partitions: l-vertex v is v, r-vertex a is n_l + a."""
-    lv, rv = bcm.edge_endpoints()
-    return _labels(bcm.n_l + bcm.n_r, lv, bcm.n_l + rv)
+    """Labels over the union of partitions: l-vertex v is v, r-vertex a is n_l + a.
+
+    Components are numbered by their lowest vertex.  Every group has at least
+    one member (``BcmGraph`` checks it), so that vertex is an individual: the individuals are labeled
+    over one star per group (its first holder joined to every holder), and
+    each group takes the label of its first holder.  This needs nothing of
+    the community graphs.
+    """
+    heads = _first_holders(bcm)
+    l_labels = _labels(bcm.n_l, np.repeat(heads, bcm.r_degrees), bcm.holder)
+    return np.concatenate([l_labels, l_labels[heads]])
 
 
 def _largest_label(sizes: np.ndarray) -> int:
@@ -90,16 +103,20 @@ class BcmGiantStats:
         }
 
 
-def giant_stats_rigc(graph: RigcGraph, params: ModelParams | None = None) -> GiantStats:
+def giant_stats_rigc(
+    graph: RigcGraph, params: ModelParams | None = None, labels: np.ndarray | None = None
+) -> GiantStats:
     """Largest-component statistics of the projected graph.
 
     ``params`` only fills ``joint_in_giant``, which maps (membership count,
     projected degree) to the fraction of all vertices carrying those values
     inside the giant, in ascending key order; without ``params`` it stays
     empty.  The CLI's ``giant`` mode requests it for ``joint.csv``; ``sweep``
-    and ``percolate`` report no joint law and do not.
+    and ``percolate`` report no joint law and do not.  ``labels`` is
+    ``rigc_components(graph)``, computed here when not given.
     """
-    labels = rigc_components(graph)
+    if labels is None:
+        labels = rigc_components(graph)
     n = graph.n_vertices
     sizes = np.bincount(labels)
     giant = _largest_label(sizes)
@@ -137,27 +154,41 @@ def giant_stats_rigc(graph: RigcGraph, params: ModelParams | None = None) -> Gia
     )
 
 
-def giant_stats_bcm(bcm: BcmGraph) -> BcmGiantStats:
-    """Largest-component statistics of the bipartite graph (ranked by total size)."""
-    labels = bcm_components(bcm)
+def _fraction_law(values: np.ndarray, total: int) -> dict[int, float]:
+    """Value -> count / total over the values that occur, in ascending order."""
+    counts = np.bincount(values)
+    keys = np.flatnonzero(counts)
+    return {k: c / total for k, c in zip(keys.tolist(), counts[keys].tolist())}
+
+
+def giant_stats_bcm(bcm: BcmGraph, labels: np.ndarray) -> BcmGiantStats:
+    """Largest-component statistics of the bipartite graph (ranked by total size).
+
+    ``labels`` must be ``rigc_components(project_rigc(bcm, communities))``
+    for the communities ``bcm`` was drawn for.  Community graphs are
+    connected, so two individuals share a bipartite component exactly when
+    they share a projected one, and each group sits in the component of its
+    members; both labelings number components by their lowest vertex, which
+    is always an individual.  The projection's labels are therefore the
+    bipartite labels of the individuals, and a group's label is its first
+    holder's.
+    """
     n, m = bcm.n_l, bcm.n_r
+    r_labels = labels[_first_holders(bcm)]
     sizes = np.bincount(labels)
+    sizes += np.bincount(r_labels, minlength=len(sizes))
     giant = _largest_label(sizes)
 
-    l_mask = labels[:n] == giant
-    r_mask = labels[n:] == giant
+    l_mask = labels == giant
+    r_mask = r_labels == giant
     lhs_k = bcm.l_degrees[l_mask]
-    rhs_k = bcm.r_degrees[r_mask]
-    lhs_degk = {int(k): int(c) / n for k, c in zip(*np.unique(lhs_k, return_counts=True))}
-    rhs_degk = {int(k): int(c) / m for k, c in zip(*np.unique(rhs_k, return_counts=True))}
-
-    lv, _ = bcm.edge_endpoints()
-    edges = int(np.count_nonzero(labels[lv] == giant))
+    # every half-edge of an individual in the giant is in the giant
+    edges = int(lhs_k.sum())
     return BcmGiantStats(
         lhs_fraction=int(l_mask.sum()) / n,
         rhs_fraction=int(r_mask.sum()) / m,
-        lhs_degk=lhs_degk,
-        rhs_degk=rhs_degk,
+        lhs_degk=_fraction_law(lhs_k, n),
+        rhs_degk=_fraction_law(bcm.r_degrees[r_mask], m),
         edges_per_N=edges / n,
         combined_fraction=int(sizes[giant]) / (n + m),
     )

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -157,22 +158,25 @@ class BcmGraph:
     """Uniform bipartite matching realized positionally.
 
     Half-edge positions follow vertex order: l-half-edge p belongs to
-    ``l_owner[p]``, r-half-edge p to ``r_owner[p]``; ``matching[p]`` is the
-    r-position paired with l-position p.  Keeping positions makes the edge
-    labels (i, l) recoverable, which is what the projection consumes.
+    ``l_owner[p]``, and r-vertex a owns the r-positions ``r_offsets[a]`` up
+    to ``r_offsets[a + 1]``; ``matching[p]`` is the r-position paired with
+    l-position p.  Keeping positions makes the edge labels (i, l)
+    recoverable, which is what the projection consumes.
     """
 
     l_degrees: np.ndarray
     r_degrees: np.ndarray
     matching: np.ndarray
     l_owner: np.ndarray = field(repr=False, default=None)
-    r_owner: np.ndarray = field(repr=False, default=None)
     r_offsets: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         h = int(self.l_degrees.sum())
         if h != int(self.r_degrees.sum()):
             raise HalfEdgeMismatch("half-edge totals differ")
+        if len(self.r_degrees) and int(self.r_degrees.min()) < 1:
+            # bcm_components and giant_stats_bcm read a group off its first member
+            raise ZeroDegree("every group needs at least one member")
         m = np.asarray(self.matching)
         if (
             len(m) != h
@@ -182,7 +186,6 @@ class BcmGraph:
         ):
             raise InconsistentMatching("matching is not a bijection over half-edges")
         object.__setattr__(self, "l_owner", np.repeat(np.arange(len(self.l_degrees)), self.l_degrees))
-        object.__setattr__(self, "r_owner", np.repeat(np.arange(len(self.r_degrees)), self.r_degrees))
         offs = np.zeros(len(self.r_degrees) + 1, dtype=np.int64)
         np.cumsum(self.r_degrees, out=offs[1:])
         object.__setattr__(self, "r_offsets", offs)
@@ -199,14 +202,13 @@ class BcmGraph:
     def half_edges(self) -> int:
         return len(self.matching)
 
-    def inverse_matching(self) -> np.ndarray:
-        inv = np.empty_like(self.matching)
-        inv[self.matching] = np.arange(len(self.matching))
-        return inv
-
-    def edge_endpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per matched pair: (l-vertex, r-vertex)."""
-        return self.l_owner, self.r_owner[self.matching]
+    @cached_property
+    def holder(self) -> np.ndarray:
+        """Per r-position: the individual whose half-edge is matched to it."""
+        holder = np.empty_like(self.l_owner)
+        holder[self.matching] = self.l_owner
+        holder.flags.writeable = False  # cached: every caller shares this array
+        return holder
 
 
 def generate_bcm(params: ModelParams, rng: np.random.Generator) -> BcmGraph:
@@ -287,9 +289,7 @@ def project_rigc(bcm: BcmGraph, communities: Sequence[CommunityGraph]) -> RigcGr
         chunks_v.append((bases[:, None] + local[None, :, 1]).ravel())
     if not chunks_u:
         return empty_rigc(bcm.n_l)
-    # holder[r] is the individual whose half-edge is matched to r-position r
-    holder = np.empty_like(bcm.l_owner)
-    holder[bcm.matching] = bcm.l_owner
+    holder = bcm.holder
     return _aggregate_edges(
         bcm.n_l, holder[np.concatenate(chunks_u)], holder[np.concatenate(chunks_v)]
     )
@@ -299,8 +299,5 @@ def contract_to_cm(bcm: BcmGraph) -> RigcGraph:
     """Contract every degree-2 group into a single edge between its members."""
     if not np.all(bcm.r_degrees == 2):
         raise NotTwoRegularRight("contraction needs every r-vertex to have degree 2")
-    inv = bcm.inverse_matching()
     first = bcm.r_offsets[:-1]
-    u = bcm.l_owner[inv[first]]
-    v = bcm.l_owner[inv[first + 1]]
-    return _aggregate_edges(bcm.n_l, u, v)
+    return _aggregate_edges(bcm.n_l, bcm.holder[first], bcm.holder[first + 1])

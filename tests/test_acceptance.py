@@ -72,8 +72,9 @@ def giant_runs(estar):
         params = rl.sample_params(p, catalog, N_BIG, philox(101, rep, 0))
         bcm = rl.generate_bcm(params, philox(101, rep, 1))
         rigc = rl.project_rigc(bcm, params.communities)
+        labels = rl.rigc_components(rigc)
         runs.append(
-            (rl.giant_stats_rigc(rigc, params), rl.giant_stats_bcm(bcm))
+            (rl.giant_stats_rigc(rigc, params, labels), rl.giant_stats_bcm(bcm, labels))
         )
     elapsed = time.perf_counter() - started
     return runs, elapsed

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import gilbert_component_counts, philox
 from rigclab import CommunityCatalog, Pmf, complete_graph, run_exploration, sample_params
+from rigclab import cli
 from rigclab.cli import DEFAULT_TOLERANCES, _write_columns, _write_csv, compare, run
 from rigclab.errors import KeyMismatch
 
@@ -153,6 +154,8 @@ VALID_SAMPLED = dict(inputs={"l_pmf": {"1": 0.5, "3": 0.5}, "catalog": K3_CATALO
         pytest.param("giant", {"seed": 7.5}, "seed", id="seed-fractional"),
         pytest.param("giant", {"target_n": 100.5}, "target_n", id="target-n-fractional"),
         pytest.param("giant", {"threads": 1.5}, "threads", id="threads-fractional"),
+        pytest.param("giant", {"threads": 0}, "threads", id="threads-zero"),
+        pytest.param("giant", {"threads": -3}, "threads", id="threads-negative"),
         pytest.param("theory", {"d_max": 2.5}, "d_max", id="d-max-fractional"),
         pytest.param(
             "giant", {"inputs": {"l_degrees": [1.5, 1.9, 1], "communities": [{"complete": 3}]}},
@@ -245,6 +248,49 @@ def test_giant_mode_thread_invariance(tmp_path):
     assert run(cfg_a, mode="giant") == 0
     assert run(cfg_b, mode="giant") == 0
     assert (out_a / "giant.csv").read_bytes() == (out_b / "giant.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "threads,replicas,cpus,workers",
+    [
+        pytest.param(5000, 2, 8, 2, id="capped-by-jobs"),
+        pytest.param(5000, 4, 2, 2, id="capped-by-cpus"),
+        pytest.param(3, 5, 8, 3, id="as-asked"),
+        pytest.param(4, 1, 8, None, id="one-job-serial"),
+        pytest.param(4, 3, None, None, id="unknown-cpus-serial"),
+    ],
+)
+def test_replica_pool_size_capped(tmp_path, monkeypatch, threads, replicas, cpus, workers):
+    """The pool gets min(threads, jobs, CPUs) workers and none when that is 1.
+
+    No real pool starts: a stand-in records ``max_workers`` and runs the jobs
+    inline, so a large ``threads`` forks nothing."""
+    created = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    base = dict(inputs=ESTAR_INPUTS, target_n=500, replicas=replicas, seed=3)
+    outs = []
+    for t in (threads, 1):
+        out = tmp_path / f"t{t}"
+        cfg = write_config(tmp_path, f"t{t}.json", out_dir=str(out), threads=t, **base)
+        assert run(cfg, mode="giant") == 0
+        outs.append((out / "giant.csv").read_bytes() + (out / "joint.csv").read_bytes())
+    assert created == ([] if workers is None else [workers])
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from collections import Counter
 
@@ -12,6 +13,7 @@ from rigclab import (
     bcm_components,
     build_params,
     complete_graph,
+    cycle_graph,
     generate_bcm,
     giant_stats_bcm,
     giant_stats_rigc,
@@ -59,7 +61,7 @@ def test_bcm_components_micro(k2):
     labels = bcm_components(bcm)
     # both individuals plus the single group form one component
     assert len(set(labels.tolist())) == 1
-    stats = giant_stats_bcm(bcm)
+    stats = giant_stats_bcm(bcm, rigc_components(project_rigc(bcm, params.communities)))
     assert stats.lhs_fraction == 1.0
     assert stats.rhs_fraction == 1.0
     assert stats.edges_per_N == pytest.approx(1.0)
@@ -193,7 +195,7 @@ def test_joint_law_matches_oracle(name):
 def test_bcm_degk_sums(p_estar, cat_estar):
     params = sample_params(p_estar, cat_estar, 2_000, philox(6))
     bcm = generate_bcm(params, philox(6, 0, 1))
-    stats = giant_stats_bcm(bcm)
+    stats = giant_stats_bcm(bcm, rigc_components(project_rigc(bcm, params.communities)))
     assert sum(stats.lhs_degk.values()) == pytest.approx(stats.lhs_fraction, abs=1e-12)
     assert sum(stats.rhs_degk.values()) == pytest.approx(stats.rhs_fraction, abs=1e-12)
 
@@ -242,3 +244,147 @@ def test_rigc_bcm_component_equivalence_spot_check(p_estar, cat_estar):
     for a, b in zip(rl.tolist(), bl.tolist()):
         assert pair.setdefault(a, b) == b
     assert len(set(pair.values())) == len(pair)
+
+
+def half_edge_owners(l_degrees, r_degrees):
+    """Vertex owning each l-position and each r-position, positions in
+    vertex order; l-vertex v is v and r-vertex a is n_l + a."""
+    n_l = len(l_degrees)
+    l_of = [v for v, k in enumerate(l_degrees) for _ in range(k)]
+    r_of = [n_l + a for a, k in enumerate(r_degrees) for _ in range(k)]
+    return l_of, r_of
+
+
+def bcm_oracle(l_degrees, r_degrees, matching):
+    """Component labels of the bipartite graph from the matching alone.
+
+    l-position p is joined to r-position ``matching[p]``.  A plain
+    union-find over all n_l + n_r vertices, components renumbered in order
+    of their lowest vertex.
+    """
+    n_l = len(l_degrees)
+    l_of, r_of = half_edge_owners(l_degrees, r_degrees)
+    parent = list(range(n_l + len(r_degrees)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for p, q in enumerate(matching):
+        parent[find(l_of[p])] = find(r_of[q])
+    number = {}
+    return [number.setdefault(find(x), len(number)) for x in range(len(parent))]
+
+
+def bcm_stats_oracle(l_degrees, r_degrees, matching, labels):
+    """Every ``BcmGiantStats`` field from oracle labels: the giant is the
+    largest component by total vertex count, ties to the lowest vertex, and
+    its edges are the matched pairs with both ends inside it."""
+    n_l, n_r = len(l_degrees), len(r_degrees)
+    members = {}
+    for x, c in enumerate(labels):
+        members.setdefault(c, []).append(x)
+    giant = set(max(members.values(), key=lambda xs: (len(xs), -xs[0])))
+    l_in = [v for v in range(n_l) if v in giant]
+    r_in = [a for a in range(n_r) if n_l + a in giant]
+    l_of, r_of = half_edge_owners(l_degrees, r_degrees)
+    edges = sum(1 for p, q in enumerate(matching) if l_of[p] in giant and r_of[q] in giant)
+    lhs = Counter(l_degrees[v] for v in l_in)
+    rhs = Counter(r_degrees[a] for a in r_in)
+    return {
+        "lhs_fraction": len(l_in) / n_l,
+        "rhs_fraction": len(r_in) / n_r,
+        "lhs_degk": {k: lhs[k] / n_l for k in sorted(lhs)},
+        "rhs_degk": {k: rhs[k] / n_r for k in sorted(rhs)},
+        "edges_per_N": edges / n_l,
+        "combined_fraction": len(giant) / (n_l + n_r),
+    }
+
+
+def check_bcm_against_oracle(bcm, communities):
+    args = (bcm.l_degrees.tolist(), bcm.r_degrees.tolist(), bcm.matching.tolist())
+    expected = bcm_oracle(*args)
+    assert bcm_components(bcm).tolist() == expected
+    stats = giant_stats_bcm(bcm, rigc_components(project_rigc(bcm, communities)))
+    want = bcm_stats_oracle(*args, expected)
+    assert dataclasses.asdict(stats) == want
+    assert list(stats.lhs_degk) == list(want["lhs_degk"])
+    assert list(stats.rhs_degk) == list(want["rhs_degk"])
+    return stats
+
+
+@pytest.mark.parametrize("l_degrees,communities", MICRO_INSTANCES)
+def test_bcm_labels_and_stats_match_oracle_exhaustive(l_degrees, communities):
+    """Every matching of every micro instance."""
+    params = build_params(l_degrees, communities)
+    for perm in itertools.permutations(range(params.half_edges)):
+        bcm = BcmGraph(
+            l_degrees=params.l_degrees,
+            r_degrees=params.r_degrees(),
+            matching=np.array(perm, dtype=np.int64),
+        )
+        check_bcm_against_oracle(bcm, communities)
+
+
+def test_bcm_labels_and_stats_match_oracle_random():
+    """Small mixed instances with singleton groups, many components each."""
+    k1 = CommunityGraph(1, [])
+    star = CommunityGraph(4, [(1, 2), (1, 3), (1, 4)])
+    catalog = CommunityCatalog(
+        [(k1, 0.3), (complete_graph(2), 0.2), (path_graph(3), 0.15),
+         (complete_graph(3), 0.15), (cycle_graph(4), 0.1), (star, 0.1)]
+    )
+    p = Pmf({1: 0.6, 2: 0.25, 3: 0.15})
+    for seed in range(40):
+        params = sample_params(p, catalog, 20 + 5 * seed, philox(seed, 0, 21))
+        assert any(g.n == 1 for g in params.communities)
+        bcm = generate_bcm(params, philox(seed, 0, 22))
+        check_bcm_against_oracle(bcm, params.communities)
+
+
+def matching_from_roles(l_degrees, roles):
+    """Matching that gives group a's roles, in order, to the individuals
+    ``roles[a]``, each individual's half-edges used in position order."""
+    next_l = list(itertools.accumulate([0] + list(l_degrees[:-1])))
+    matching = [None] * sum(l_degrees)
+    q = 0
+    for members in roles:
+        for v in members:
+            matching[next_l[v]] = q
+            next_l[v] += 1
+            q += 1
+    return np.array(matching, dtype=np.int64)
+
+
+def test_bcm_giant_differs_from_projected_giant():
+    """The bipartite giant ranks by individuals plus groups, the projected
+    giant by individuals alone, and a tie on total size goes to the lowest
+    vertex.
+
+    {3, 4, 5, 9} share one K4: 4 individuals, 5 vertices, the projected giant.
+    {2, 7, 8} share a K3 and 2 holds 3 singletons: 3 + 4 = 7 vertices.
+    {1, 6} share a K2 and hold 2 singletons each: 2 + 5 = 7 vertices.
+    The last two tie; {1, 6} holds the lowest vertex, though it has fewer
+    individuals and its groups come later.  Individual 0 holds one singleton.
+    """
+    k1 = CommunityGraph(1, [])
+    l_degrees = [1, 3, 4, 1, 1, 1, 3, 1, 1, 1]
+    communities = [complete_graph(3), k1, k1, k1, complete_graph(4), complete_graph(2),
+                   k1, k1, k1, k1, k1]
+    roles = [[2, 7, 8], [2], [2], [2], [3, 4, 5, 9], [1, 6], [1], [1], [6], [6], [0]]
+    params = build_params(l_degrees, communities)
+    bcm = BcmGraph(
+        l_degrees=params.l_degrees,
+        r_degrees=params.r_degrees(),
+        matching=matching_from_roles(l_degrees, roles),
+    )
+    rigc = project_rigc(bcm, communities)
+    assert giant_stats_rigc(rigc).c1_fraction == 4 / 10
+    stats = check_bcm_against_oracle(bcm, communities)
+    assert stats.lhs_fraction == 2 / 10
+    assert stats.rhs_fraction == 5 / 11
+    assert stats.combined_fraction == 7 / 21
+    assert stats.edges_per_N == 6 / 10
+    assert stats.lhs_degk == {3: 2 / 10}
+    assert stats.rhs_degk == {1: 4 / 11, 2: 1 / 11}

@@ -137,7 +137,7 @@ def test_projection_mass_and_handshake(p_estar, cat_estar):
 
 def plain_projection(bcm, communities):
     """Edge multiplicities by a loop over every group and every edge."""
-    inv = bcm.inverse_matching()
+    inv = np.argsort(bcm.matching)  # l-position matched to each r-position
     counts = Counter()
     for a, g in enumerate(communities):
         base = int(bcm.r_offsets[a])
@@ -242,6 +242,15 @@ def test_bcm_rejects_non_bijection(k2):
             l_degrees=np.array([1, 1]),
             r_degrees=np.array([2]),
             matching=np.array([0, 0]),
+        )
+
+
+def test_bcm_rejects_empty_group():
+    with pytest.raises(ZeroDegree):
+        BcmGraph(
+            l_degrees=np.array([1]),
+            r_degrees=np.array([1, 0]),
+            matching=np.array([0]),
         )
 
 
