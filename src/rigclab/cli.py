@@ -212,6 +212,8 @@ class Experiment:
             _fail("pi", f"retention parameters are not used by mode {mode!r}")
 
         self.tol = _float(cfg.get("tol", 1e-6), "tol")
+        if not 0.0 < self.tol < 1.0:
+            _fail("tol", "must lie in (0, 1)")
         # t0, c_grid and pi_grid keep their JSON values: CSV rows print them as given
         self.t0 = cfg.get("t0")
         if self.t0 is not None:
@@ -221,6 +223,8 @@ class Experiment:
         self.d_max = cfg.get("d_max")
         if self.d_max is not None:
             self.d_max = _int(self.d_max, "d_max")
+            if self.d_max < 0:
+                _fail("d_max", "must be >= 0")
         self.threads = _int(cfg.get("threads", 1), "threads")
         if self.threads < 1:
             _fail("threads", "must be >= 1")

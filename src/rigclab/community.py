@@ -59,7 +59,7 @@ class CommunityGraph:
             norm.add(key)
         self.n = n
         self.edges = tuple(sorted(norm))
-        if not _is_connected(n, self.edges):
+        if len(component_members(n, self.edges)) != 1:
             raise OutOfDomain("community graphs must be connected")
 
     @property
@@ -194,23 +194,6 @@ class CommunityList(Sequence):
 
     def __repr__(self) -> str:
         return f"CommunityList({len(self)} groups, {len(self.shapes)} shapes)"
-
-
-def _is_connected(n: int, edges: Sequence[tuple[int, int]]) -> bool:
-    if n == 1:
-        return True
-    adj: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {1}
-    stack = [1]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
 
 
 # -- canonical keys -----------------------------------------------------------
@@ -373,8 +356,6 @@ class PercolationProfile:
     pi: float
     outcomes: tuple[tuple[tuple, float], ...]
     components_by_key: Mapping[tuple, CommunityGraph]
-    mean_root_component_minus_one: float
-    mean_component_count: float
 
 
 def component_members(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
@@ -419,13 +400,12 @@ class _SubsetCensus:
     """One-pass enumeration of all 2^|E| edge subsets of a community graph.
 
     Per kept-edge count k it accumulates, for each distinct outcome (multiset
-    of component keys), the number of subsets producing it, plus the sums
-    needed for the mean root-component size and the mean component count.
-    Evaluating the profile at any retention probability is then just a
-    binomial-weight contraction.
+    of component keys), the number of subsets producing it.  Evaluating the
+    profile at any retention probability is then just a binomial-weight
+    contraction.
     """
 
-    __slots__ = ("m", "outcome_counts", "components_by_key", "root_sum", "count_sum")
+    __slots__ = ("m", "outcome_counts", "components_by_key")
 
     def __init__(self, graph: CommunityGraph):
         m = graph.edge_count
@@ -434,16 +414,13 @@ class _SubsetCensus:
         self.m = m
         self.outcome_counts: dict[tuple, np.ndarray] = {}
         self.components_by_key: dict[tuple, CommunityGraph] = {}
-        self.root_sum = np.zeros(m + 1)
-        self.count_sum = np.zeros(m + 1)
         edges = graph.edges
         n = graph.n
         for mask in range(1 << m):
             kept = [edges[i] for i in range(m) if mask >> i & 1]
             k = len(kept)
-            comps = split_components(n, kept)
             keys = []
-            for comp in comps:
+            for comp in split_components(n, kept):
                 ck = catalog_key(comp)
                 keys.append(ck)
                 if ck not in self.components_by_key:
@@ -455,8 +432,6 @@ class _SubsetCensus:
             if counts is None:
                 counts = self.outcome_counts[outcome] = np.zeros(m + 1)
             counts[k] += 1.0
-            self.root_sum[k] += sum(c.n * (c.n - 1) for c in comps) / n
-            self.count_sum[k] += len(comps)
 
     def weights(self, pi: float) -> np.ndarray:
         k = np.arange(self.m + 1)
@@ -492,8 +467,6 @@ def percolate_enumerate(graph: CommunityGraph, pi: float) -> PercolationProfile:
         pi=pi,
         outcomes=tuple(outcomes),
         components_by_key=dict(census.components_by_key),
-        mean_root_component_minus_one=float(census.root_sum @ w),
-        mean_component_count=float(census.count_sum @ w),
     )
 
 

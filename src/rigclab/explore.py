@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,22 +52,30 @@ class ComponentRecord:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-stamped exploration record; state columns hold post-event values."""
+    """Time-stamped exploration record; state columns hold post-event values.
+
+    It keeps the matching and the loop's logs: the Step-1 iterations and
+    vertices, each phantom skip's first ring and extra rings, the rings
+    consumed, the ring schedule and the discovered group degrees.  Each
+    column is built from them on first read.  Iteration j emits
+    [Step1?] Step2 Step3^(d_j - 1), so the event skeleton follows from the
+    discovery order; the logs supply everything it does not determine.
+    """
 
     n_l: int
     n_r: int
     h: int
-    times: np.ndarray
-    kinds: np.ndarray
-    living: np.ndarray
-    sleeping: np.ndarray
-    sleeping_hat: np.ndarray
-    active: np.ndarray
-    waiting: np.ndarray
-    s1_times: np.ndarray
-    s2_times: np.ndarray
-    component_records: tuple[ComponentRecord, ...]
     matching: np.ndarray
+    step1_iters: np.ndarray
+    step1_vertices: np.ndarray
+    skip_rings: np.ndarray
+    skip_extras: np.ndarray
+    rung_total: int
+    ring_time: np.ndarray
+    sigma: np.ndarray
+    l_owner: np.ndarray
+    l_degrees: np.ndarray
+    d_seq: np.ndarray
 
     def bcm(self, params: ModelParams) -> BcmGraph:
         return BcmGraph(
@@ -74,6 +83,110 @@ class Trajectory:
             r_degrees=params.r_degrees(),
             matching=self.matching,
         )
+
+    @cached_property
+    def kinds(self) -> np.ndarray:
+        has1 = np.zeros(len(self.d_seq), dtype=np.int64)
+        has1[self.step1_iters] = 1
+        iter_start = np.zeros(len(self.d_seq) + 1, dtype=np.int64)
+        np.cumsum(self.d_seq + has1, out=iter_start[1:])
+        kinds = np.full(iter_start[-1], STEP3, dtype=np.int8)
+        kinds[iter_start[:-1] + has1] = STEP2
+        kinds[iter_start[self.step1_iters]] = STEP1
+        return kinds
+
+    @cached_property
+    def _step1_pos(self) -> np.ndarray:
+        return np.flatnonzero(self.kinds == STEP1)
+
+    @cached_property
+    def _ring_cum(self) -> np.ndarray:
+        """Rings consumed up to each event.  Every alarm resolution consumes
+        one plus its skips; a skip beginning at ring index s belongs to the
+        resolution whose ordinal is s minus the extras spent by earlier skips."""
+        is3 = self.kinds == STEP3
+        rings = is3.astype(np.int64)
+        prior_extras = np.cumsum(self.skip_extras) - self.skip_extras
+        rings[np.flatnonzero(is3)[self.skip_rings - prior_extras]] += self.skip_extras
+        return np.cumsum(rings)
+
+    @cached_property
+    def _first_ring(self) -> np.ndarray:
+        """Each vertex's first ring index, -1 if it never rang (no sort:
+        reversed writes keep the first occurrence)."""
+        owners = self.l_owner[self.sigma[: self.rung_total]]
+        first = np.full(self.n_l, -1, dtype=np.int64)
+        first[owners[::-1]] = np.arange(self.rung_total - 1, -1, -1)
+        return first
+
+    @cached_property
+    def _wake(self) -> np.ndarray:
+        """Tokens woken per event.  Step-1 vertices wake at their Step-1 event;
+        every other vertex at its first ring, always the resolving alarm of a
+        Step 3."""
+        wake = np.zeros(len(self.kinds), dtype=np.int64)
+        wake[self._step1_pos] = self.l_degrees[self.step1_vertices]
+        by_ring = self._first_ring >= 0
+        by_ring[self.step1_vertices] = False
+        ring_wakers = np.flatnonzero(by_ring)
+        events = np.searchsorted(self._ring_cum, self._first_ring[ring_wakers] + 1, side="left")
+        wake[events] = self.l_degrees[ring_wakers]
+        return wake
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        return np.append(0.0, self.ring_time)[self._ring_cum]
+
+    @cached_property
+    def living(self) -> np.ndarray:
+        return self.h - np.cumsum(self.kinds != STEP1)
+
+    @cached_property
+    def sleeping(self) -> np.ndarray:
+        return self.h - np.cumsum(self._wake)
+
+    @cached_property
+    def sleeping_hat(self) -> np.ndarray:
+        """No-ring-yet census: whole families, Step-1 status notwithstanding."""
+        rang = self._first_ring >= 0
+        drop = np.zeros(self.rung_total + 1, dtype=np.int64)
+        drop[self._first_ring[rang] + 1] = self.l_degrees[rang]
+        return self.h - np.cumsum(drop)[self._ring_cum]
+
+    @cached_property
+    def active(self) -> np.ndarray:
+        return self.living - self.sleeping
+
+    @cached_property
+    def waiting(self) -> np.ndarray:
+        """Group tokens left to pair: reset at each discovery, one fewer per
+        alarm resolution, none at a Step 1."""
+        is2 = self.kinds == STEP2
+        event_idx = np.arange(len(is2))
+        last2 = np.maximum.accumulate(np.where(is2, event_idx, -1))
+        base = np.zeros(len(is2), dtype=np.int64)
+        base[is2] = self.d_seq - 1
+        waiting = base[np.maximum(last2, 0)] - (event_idx - last2)
+        waiting[self._step1_pos] = 0
+        return waiting
+
+    @cached_property
+    def s1_times(self) -> np.ndarray:
+        return self.times[self._step1_pos]
+
+    @cached_property
+    def s2_times(self) -> np.ndarray:
+        return self.times[self.kinds == STEP2]
+
+    @cached_property
+    def component_records(self) -> tuple[ComponentRecord, ...]:
+        starts = self._step1_pos
+        ends = np.append(starts[1:] - 1, len(self.kinds) - 1)
+        per_component = (
+            np.add.reduceat(x, starts, dtype=np.int64).tolist()
+            for x in (self._wake > 0, self.kinds == STEP2, self.kinds != STEP1)
+        )
+        return tuple(map(ComponentRecord, starts.tolist(), ends.tolist(), *per_component))
 
 
 def run_exploration(
@@ -88,10 +201,10 @@ def run_exploration(
     front and replays them in sorted order.  The two are equal in law; the
     direct-clock mode is kept as a distributional oracle.
 
-    The loop has one source, ``_explore_loop``.  It runs compiled on arrays
-    when numba is importable and interpreted on lists (``.tolist()`` copies
-    of the inputs) otherwise; both consume the same presampled randomness and
-    give the same output bit for bit.
+    The loop has one source, ``_explore_loop``, and fills numpy buffers.  It
+    runs compiled on the arrays when numba is importable and interpreted on
+    ``memoryview``s of them otherwise; both consume the same presampled
+    randomness and give the same output bit for bit.
     """
     if method not in ("race", "clocks"):
         raise OutOfDomain(f"unknown method {method!r}")
@@ -138,35 +251,14 @@ def run_exploration(
         np.arange(h),  # candidates
     )
     # status, match, stack, the Step-1 log and the skip log: each starts zeroed
-    sizes = (h, h, h, n_l, n_l, h, h)
-    if _HAVE_NUMBA:
-        args = (*inputs, *(np.zeros(n, dtype=np.int64) for n in sizes))
-    else:
-        args = (*(a.tolist() for a in inputs), *([0] * n for n in sizes))
-    n1, nskip, ring_ptr = _explore_loop(*args)
-    match, step1_iters, step1_vertices, skip_rings, skip_extras = (
-        np.asarray(log, dtype=np.int64)
-        for log in (args[10], args[12][:n1], args[13][:n1], args[14][:nskip], args[15][:nskip])
-    )
-    # the list copies weigh more than the trajectory: free them before assembly
-    del args
-
-    return _assemble_trajectory(
-        n_l,
-        n_r,
-        h,
-        step1_iters,
-        step1_vertices,
-        skip_rings,
-        skip_extras,
-        int(ring_ptr),
-        ring_time,
-        sigma_arr,
-        l_owner_arr,
-        params.l_degrees,
-        r_deg_arr,
-        r_order_arr,
-        match,
+    buffers = tuple(np.zeros(n, dtype=np.int64) for n in (h, h, h, n_l, n_l, h, h))
+    args = (*inputs, *buffers)
+    n1, nskip, rung_total = _explore_loop(*(args if _HAVE_NUMBA else map(memoryview, args)))
+    _, match, _, step1_iters, step1_vertices, skip_rings, skip_extras = buffers
+    return Trajectory(
+        n_l, n_r, h, match,
+        step1_iters[:n1], step1_vertices[:n1], skip_rings[:nskip], skip_extras[:nskip],
+        rung_total, ring_time, sigma_arr, l_owner_arr, params.l_degrees, d_seq,
     )
 
 
@@ -194,7 +286,7 @@ def _explore_loop(
     ``candidates`` starts as 0..h-1; ``status`` (0 sleeping, 1 active,
     2 paired), ``match``, ``stack`` and the logs start zeroed, and the loop
     writes every entry of ``match``.  Only index writes touch them, so the
-    same source runs under ``njit`` on arrays and interpreted on lists.
+    same source runs under ``njit`` on arrays and interpreted on memoryviews.
     """
     n_cand = len(candidates)
     top = 0
@@ -269,139 +361,6 @@ def _explore_loop(
             match[e] = base + label2
 
     return n1, nskip, ring_ptr
-
-
-def _assemble_trajectory(
-    n_l: int,
-    n_r: int,
-    h: int,
-    step1_iters: np.ndarray,
-    step1_vertices: np.ndarray,
-    skip_rings: np.ndarray,
-    skip_extras: np.ndarray,
-    rung_total: int,
-    ring_time: np.ndarray,
-    sigma: np.ndarray,
-    l_owner: np.ndarray,
-    l_degrees: np.ndarray,
-    r_degrees: np.ndarray,
-    r_order: np.ndarray,
-    matching: np.ndarray,
-) -> Trajectory:
-    """Rebuild the full state columns from the loop's exception logs.
-
-    Iteration j of the exploration emits [Step1?] Step2 Step3^(d_j - 1), with
-    d_j the degree of the j-th discovered group, so the event skeleton follows
-    from the discovery order; the Step-1 log and the phantom-skip log supply
-    everything the skeleton does not determine.
-    """
-    n_iter = len(r_order)
-    d_seq = r_degrees[r_order]
-    has1 = np.zeros(n_iter, dtype=np.int64)
-    has1[step1_iters] = 1
-    ev_per_iter = d_seq + has1
-    iter_start = np.zeros(n_iter + 1, dtype=np.int64)
-    np.cumsum(ev_per_iter, out=iter_start[1:])
-    n_events = int(iter_start[-1])
-
-    kinds = np.full(n_events, STEP3, dtype=np.int8)
-    step2_pos = iter_start[:-1] + has1
-    kinds[step2_pos] = STEP2
-    step1_pos = iter_start[step1_iters]
-    kinds[step1_pos] = STEP1
-    is2 = kinds == STEP2
-    is3 = kinds == STEP3
-
-    # rings consumed per event: every alarm resolution consumes one plus skips;
-    # a skip beginning at ring index s belongs to the alarm resolution whose
-    # ordinal is s minus the extras spent by earlier skips
-    rings = np.zeros(n_events, dtype=np.int64)
-    step3_pos = np.flatnonzero(is3)
-    rings_per_step3 = np.ones(len(step3_pos), dtype=np.int64)
-    if len(skip_rings):
-        prior_extras = np.concatenate(([0], np.cumsum(skip_extras)[:-1]))
-        rings_per_step3[skip_rings - prior_extras] += skip_extras
-    rings[step3_pos] = rings_per_step3
-    ring_cum = np.cumsum(rings)
-    times = np.where(ring_cum > 0, ring_time[np.maximum(ring_cum - 1, 0)], 0.0)
-
-    living = h - np.cumsum(is2 | is3)
-
-    # first ring per vertex (no sort: reversed writes keep the first occurrence)
-    owners = l_owner[sigma[:rung_total]]
-    first_idx = np.full(n_l, -1, dtype=np.int64)
-    if rung_total:
-        first_idx[owners[::-1]] = np.arange(rung_total - 1, -1, -1)
-
-    # wakes: Step-1 vertices wake at their Step-1 event; every other vertex
-    # wakes at its first ring, which is always the resolving alarm of a Step 3
-    wake = np.zeros(n_events, dtype=np.int64)
-    wake[step1_pos] = l_degrees[step1_vertices]
-    woke_by_step1 = np.zeros(n_l, dtype=bool)
-    woke_by_step1[step1_vertices] = True
-    ring_wakers = np.flatnonzero((first_idx >= 0) & ~woke_by_step1)
-    wake_events = np.searchsorted(ring_cum, first_idx[ring_wakers] + 1, side="left")
-    wake[wake_events] = l_degrees[ring_wakers]
-    sleeping = h - np.cumsum(wake)
-    active = living - sleeping
-
-    # no-ring-yet census counts whole families, Step-1 status notwithstanding
-    if rung_total == 0:
-        sleeping_hat = np.full(n_events, h, dtype=np.int64)
-    else:
-        first_ring = np.zeros(rung_total, dtype=bool)
-        first_ring[first_idx[first_idx >= 0]] = True
-        drop = np.where(first_ring, l_degrees[owners], 0)
-        shat_after_ring = h - np.cumsum(drop)
-        sleeping_hat = np.where(
-            ring_cum > 0, shat_after_ring[np.maximum(ring_cum - 1, 0)], h
-        ).astype(np.int64)
-
-    # waiting tokens: reset at each discovery, one fewer per alarm resolution
-    event_idx = np.arange(n_events)
-    last2 = np.maximum.accumulate(np.where(is2, event_idx, -1))
-    base = np.zeros(n_events, dtype=np.int64)
-    base[is2] = d_seq - 1
-    waiting = np.where(
-        kinds == STEP1, 0, np.where(last2 >= 0, base[np.maximum(last2, 0)] - (event_idx - last2), 0)
-    )
-
-    starts = step1_pos
-    ends = np.append(starts[1:] - 1, n_events - 1)
-    cum_wakes = np.cumsum(wake > 0)
-    cum_r = np.cumsum(is2)
-    cum_edges = np.cumsum(is2 | is3)
-
-    def span(cum: np.ndarray, a: int, b: int) -> int:
-        return int(cum[b] - (cum[a - 1] if a > 0 else 0))
-
-    records = tuple(
-        ComponentRecord(
-            start_event=int(a),
-            end_event=int(b),
-            l_vertices=span(cum_wakes, a, b),
-            r_vertices=span(cum_r, a, b),
-            edges=span(cum_edges, a, b),
-        )
-        for a, b in zip(starts, ends)
-    )
-
-    return Trajectory(
-        n_l=n_l,
-        n_r=n_r,
-        h=h,
-        times=times,
-        kinds=kinds,
-        living=living.astype(np.int64),
-        sleeping=sleeping.astype(np.int64),
-        sleeping_hat=sleeping_hat,
-        active=active.astype(np.int64),
-        waiting=waiting.astype(np.int64),
-        s1_times=times[kinds == STEP1],
-        s2_times=times[is2],
-        component_records=records,
-        matching=matching,
-    )
 
 
 # -- trajectory diagnostics -----------------------------------------------------

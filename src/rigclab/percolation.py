@@ -214,6 +214,8 @@ def critical_pi_bracket(
         return (0.0, 0.0)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break  # adjacent floats: no tol can shrink the bracket further
         if _supercriticality_gap(p_tilde_mean, catalog, mid) > 0.0:
             hi = mid
         else:

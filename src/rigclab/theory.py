@@ -173,8 +173,10 @@ def joint_degree_in_giant_table(
     for k, pk in zip(inputs.p.values, inputs.p.weights):
         full = convolve_power(inputs.rho, k)
         dead = convolve_power(dead_base, k)
-        for d in range(0, d_max + 1):
-            a = pk * (full.get(d, 0.0) - dead.get(d, 0.0))
+        for d in sorted(full):  # dead's support lies within full's
+            if d > d_max:
+                break
+            a = pk * (full[d] - dead.get(d, 0.0))
             if a != 0.0:
                 table[(k, d)] = a
     return table

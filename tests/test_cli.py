@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rigclab
 from conftest import gilbert_component_counts, philox
 from rigclab import CommunityCatalog, Pmf, complete_graph, run_exploration, sample_params
 from rigclab import cli
@@ -201,6 +206,48 @@ def test_malformed_config_exit_2(tmp_path, capsys, mode, change, path):
     assert err.startswith(f"config error: {path}:")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def run_cli_subprocess(tmp_path, mode, timeout, **cfg):
+    """Run ``python -m rigclab.cli`` in a fresh interpreter, so that a hang
+    fails the test at its timeout instead of stalling the suite."""
+    path = write_config(tmp_path, "cfg.json", out_dir=str(tmp_path / "out"), **cfg)
+    env = {**os.environ, "PYTHONPATH": str(Path(rigclab.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "rigclab.cli", mode, "--config", str(path)],
+        capture_output=True, text=True, timeout=timeout, env=env,
+    )
+
+
+@pytest.mark.parametrize(
+    "mode,change,code",
+    [
+        pytest.param("pi-c", {"tol": 0}, 2, id="tol-zero"),
+        pytest.param("pi-c", {"tol": -1}, 2, id="tol-negative"),
+        pytest.param("pi-c", {"tol": 1e-300}, 0, id="tol-below-float-spacing"),
+        pytest.param("theory", {"d_max": -5}, 2, id="d-max-negative"),
+        pytest.param("theory", {"d_max": 1e12}, 0, id="d-max-huge"),
+    ],
+)
+def test_hostile_config_ends(tmp_path, mode, change, code):
+    done = run_cli_subprocess(tmp_path, mode, 60, inputs=ESTAR_INPUTS, **change)
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr
+    if code == 2:
+        (field,) = change
+        assert done.stderr.startswith(f"config error: {field}:")
+        assert not (tmp_path / "out").exists()
+    elif mode == "pi-c":
+        report = json.loads((tmp_path / "out" / "pi_c.json").read_text())
+        # the bisection ran down to adjacent floats around the triangle threshold
+        assert np.nextafter(report["bracket_lo"], 1.0) == report["bracket_hi"]
+        assert report["pi_c"] == pytest.approx(0.27765, abs=1e-4)
+    else:
+        # a cutoff beyond the joint law's support changes nothing
+        report = json.loads((tmp_path / "out" / "theory.json").read_text())
+        assert report["edges_in_giant_from_joint"] == pytest.approx(
+            report["edges_in_giant_per_N"], rel=1e-12
+        )
 
 
 def test_integral_float_accepted_as_integer(tmp_path):

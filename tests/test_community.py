@@ -185,8 +185,8 @@ def test_percolate_enumerate_pi_one(k3):
     (outcome, prob), = prof.outcomes
     assert prob == pytest.approx(1.0)
     assert outcome == (canonical_key(k3),)
-    assert prof.mean_root_component_minus_one == pytest.approx(2.0)
-    assert prof.mean_component_count == pytest.approx(1.0)
+    assert size_census(k3).mean_root_component_minus_one(1.0) == pytest.approx(2.0)
+    assert size_census(k3).mean_component_count(1.0) == pytest.approx(1.0)
 
 
 def test_percolate_enumerate_half(k3, p3, k2, k1):
@@ -196,15 +196,14 @@ def test_percolate_enumerate_half(k3, p3, k2, k1):
     assert by_key[(canonical_key(p3),)] == pytest.approx(0.375)
     assert by_key[tuple(sorted([canonical_key(k2), canonical_key(k1)]))] == pytest.approx(0.375)
     assert by_key[(canonical_key(k1),) * 3] == pytest.approx(0.125)
-    assert prof.mean_component_count == pytest.approx(1.625)
+    assert size_census(k3).mean_component_count(0.5) == pytest.approx(1.625)
     # closed form for the mean root component: 2(pi + pi^2 - pi^3)
-    assert prof.mean_root_component_minus_one == pytest.approx(1.25)
+    assert size_census(k3).mean_root_component_minus_one(0.5) == pytest.approx(1.25)
 
 
 @pytest.mark.parametrize("pi", [0.1, 0.3, 0.7, 0.9])
 def test_k3_root_component_closed_form(k3, pi):
-    prof = percolate_enumerate(k3, pi)
-    assert prof.mean_root_component_minus_one == pytest.approx(
+    assert size_census(k3).mean_root_component_minus_one(pi) == pytest.approx(
         2 * (pi + pi**2 - pi**3), abs=1e-12
     )
 
@@ -246,7 +245,7 @@ def test_root_component_monotone_in_pi():
     grid = np.linspace(0.0, 1.0, 11)
     for _ in range(8):
         g = random_connected_graph(rng, int(rng.integers(2, 6)))
-        values = [percolate_enumerate(g, float(pi)).mean_root_component_minus_one for pi in grid]
+        values = [size_census(g).mean_root_component_minus_one(float(pi)) for pi in grid]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -107,7 +108,7 @@ def assert_trajectories_identical(a, b):
 
 def test_compiled_engine_identical(p_estar, cat_estar, monkeypatch):
     """numba's build of the loop on arrays agrees bit for bit with the same
-    source interpreted (``py_func``) on lists."""
+    source interpreted (``py_func``) on memoryviews."""
     pytest.importorskip("numba")
     params = sample_params(p_estar, cat_estar, 500, philox(6))
     compiled = run_exploration(params, philox(7))
@@ -115,6 +116,32 @@ def test_compiled_engine_identical(p_estar, cat_estar, monkeypatch):
     monkeypatch.setattr(explore, "_explore_loop", explore._explore_loop.py_func)
     interpreted = run_exploration(params, philox(7))
     assert_trajectories_identical(compiled, interpreted)
+
+
+COLUMNS = (
+    "times", "kinds", "living", "sleeping", "sleeping_hat", "active", "waiting",
+    "s1_times", "s2_times", "component_records",
+)
+
+
+def test_matching_alone_builds_no_column(p_estar, cat_estar):
+    params = sample_params(p_estar, cat_estar, 500, philox(50))
+    traj = run_exploration(params, philox(51))
+    assert sorted(traj.matching.tolist()) == list(range(traj.h))
+    assert not set(COLUMNS) & set(vars(traj))
+    # nothing at all is cached: the instance holds its fields only
+    assert set(vars(traj)) == {f.name for f in dataclasses.fields(traj)}
+
+
+def test_columns_independent_of_read_order(p_estar, cat_estar):
+    params = sample_params(p_estar, cat_estar, 2_000, philox(52))
+    forward, backward = (run_exploration(params, philox(53)) for _ in range(2))
+    first = {name: getattr(forward, name) for name in COLUMNS}
+    second = {name: getattr(backward, name) for name in reversed(COLUMNS)}
+    assert first.pop("component_records") == second.pop("component_records")
+    for name, column in first.items():
+        assert column.dtype == second[name].dtype, name
+        assert np.array_equal(column, second[name]), name
 
 
 def test_component_records_match_union_find(p_estar, cat_estar):

@@ -163,16 +163,13 @@ def test_mu_pi_limit_extremes(cat_estar, k1):
 
 def test_mu_pi_mass_balance(cat_estar):
     # mean percolated size times the expected split count per original
-    # community (computed independently from the enumeration profiles)
+    # community (computed independently from the component-size census)
     # equals the original mean size
-    from rigclab import percolate_enumerate
+    from rigclab import size_census
 
     for pi in (0.2, 0.5, 0.8):
         pc = mu_pi_limit(cat_estar, pi)
-        splits = sum(
-            w * percolate_enumerate(g, pi).mean_component_count
-            for g, w in cat_estar.items
-        )
+        splits = sum(w * size_census(g).mean_component_count(pi) for g, w in cat_estar.items)
         assert pc.mean_size_pi * splits == pytest.approx(cat_estar.mean_size(), abs=1e-10)
 
 
