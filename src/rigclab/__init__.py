@@ -69,7 +69,6 @@ from .percolation import (
 )
 from .pmf import Pmf, convolve_power, convolve_weights
 from .theory import (
-    BcmPrediction,
     GiantPrediction,
     TheoryInputs,
     active_halfedge_curve,

@@ -9,10 +9,13 @@ parallelism cannot change any row, only the order work happens in.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import math
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -140,7 +143,6 @@ class Experiment:
         if mode not in MODES:
             _fail("mode", f"unknown mode {mode!r}")
         self.mode = mode
-        self.cfg = cfg
         version = cfg.get("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             _fail("schema_version", f"unsupported version {version}")
@@ -262,91 +264,62 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+# rows per "".join in _write_csv: a column table never holds all of its cells
+# as Python objects, and a chunk's objects stay in cache (chunks of 32k rows
+# wrote a 200k-row trajectory about 20% slower)
+CSV_CHUNK = 1 << 12
 
 
-def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
-    """Write small mixed tables row by row; their cells can be JSON ints from
-    the config (``c_grid``, ``pi_grid``), which print without ``.0``."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: list[str], rows: Iterable[tuple]) -> None:
+    """Write ``rows`` under ``header``, ``CSV_CHUNK`` rows at a time.
 
-
-def _int_cells(col: np.ndarray) -> np.ndarray:
-    """(n, width) uint8 matrix of each integer's decimal text, NUL-padded."""
-    signed = col.astype(np.int64)
-    neg = signed < 0
-    # the int64 minimum negates to itself, which wraps to 2**63 as uint64
-    mag = np.where(neg, -signed, signed).astype(np.uint64)
-    width = len(str(int(mag.max()))) if len(mag) else 1
-    cells = np.empty((len(col), width + 1), dtype=np.uint8)
-    cells[:, 0] = np.where(neg, ord("-"), 0)
-    for j in range(width):
-        cells[:, j + 1] = mag // np.uint64(10 ** (width - 1 - j)) % np.uint64(10)
-    digits = cells[:, 1:]
-    significant = np.logical_or.accumulate(digits != 0, axis=1)
-    significant[:, -1] = True  # zero keeps its last digit
-    digits[:] = np.where(significant, digits + ord("0"), 0)
-    return cells
-
-
-def _float_cells(col: np.ndarray) -> np.ndarray:
-    """(n, width) uint8 matrix of each float's shortest round-trip repr, NUL-padded."""
-    packed = np.array(list(map(repr, col.tolist())), dtype=bytes)
-    return packed.view(np.uint8).reshape(len(col), packed.dtype.itemsize)
-
-
-def _write_columns(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    """Write equal-length numeric columns as the bytes ``_write_csv`` gives for
-    the same values as ``.tolist()`` rows, formatting a column at a time."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    n = len(columns[0])
-    parts = []
-    for i, col in enumerate(columns):
-        col = np.asarray(col)
-        if col.dtype.kind in "iu" and np.can_cast(col.dtype, np.int64):
-            parts.append(_int_cells(col))
-        elif col.dtype.kind == "f":
-            parts.append(_float_cells(col))
-        else:
-            raise TypeError(f"column {header[i]!r} has unsupported dtype {col.dtype}")
-        sep = "\n" if i == len(columns) - 1 else ","
-        parts.append(np.full((n, 1), ord(sep), dtype=np.uint8))
-    body = np.concatenate(parts, axis=1).ravel()
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
-        fh.write(body[body != 0].tobytes())
-
-
-def _map_replicas(fn, jobs: list, threads: int) -> list:
-    """Results of ``fn`` over ``jobs``, sorted by replica.
-
-    The pool has at most one worker per job and per CPU: a fork-based pool
-    starts all of its workers at the first submit, whatever the job count.
+    Every cell prints as ``str`` of its value: a float prints as its shortest
+    round-trip repr (``nan``, ``-0.0``, ``1e+22``), and a JSON int from the
+    config (``c_grid``, ``pi_grid``) prints without ``.0``.
     """
-    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    line = ",".join(["%s"] * len(header)) + "\n"
+    rows = iter(rows)
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        while text := "".join(map(line.__mod__, itertools.islice(rows, CSV_CHUNK))):
+            fh.write(text)
+
+
+def _column_rows(columns: list[np.ndarray]) -> Iterator[tuple]:
+    """Row tuples of equal-length numpy columns, converted ``CSV_CHUNK`` rows
+    at a time."""
+    for i in range(0, len(columns[0]), CSV_CHUNK):
+        yield from zip(*(col[i : i + CSV_CHUNK].tolist() for col in columns))
+
+
+def _map_replicas(fn, replicas: range, threads: int) -> list:
+    """Results of ``fn`` over ``replicas``, sorted by replica.
+
+    The pool has at most one worker per replica and per CPU: a fork-based
+    pool starts all of its workers at the first submit, whatever the job count.
+    """
+    workers = min(threads, len(replicas), os.cpu_count() or 1)
     if workers <= 1:
-        results = [fn(job) for job in jobs]
+        results = [fn(r) for r in replicas]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(fn, jobs))
+            results = list(pool.map(fn, replicas))
     return sorted(results, key=lambda item: item[0])
 
 
 # -- replica jobs (top level so worker processes can import them) -------------------
 
 
-def _job_giant(job: tuple) -> tuple:
-    cfg, mode, replica = job
-    exp = Experiment(cfg, mode)
+def _sample(exp: Experiment, replica: int) -> tuple:
+    """One replica's (params, matching, projection) from its own streams."""
     params = exp.params_for(replica)
     bcm = generate_bcm(params, stream(exp.seed, replica, ROLE_MATCH))
-    rigc = project_rigc(bcm, params.communities)
+    return params, bcm, project_rigc(bcm, params.communities)
+
+
+def _job_giant(exp: Experiment, replica: int) -> tuple:
+    params, bcm, rigc = _sample(exp, replica)
     labels = rigc_components(rigc)
     stats = giant_stats_rigc(rigc, params, labels)
     bstats = giant_stats_bcm(bcm, labels)
@@ -367,14 +340,9 @@ def _job_giant(job: tuple) -> tuple:
     }
 
 
-def _job_percolate(job: tuple) -> tuple:
-    cfg, mode, replica = job
-    exp = Experiment(cfg, mode)
+def _job_percolate(exp: Experiment, replica: int) -> tuple:
     pi = float(exp.pi)
-    params = exp.params_for(replica)
-
-    bcm = generate_bcm(params, stream(exp.seed, replica, ROLE_MATCH))
-    rigc = project_rigc(bcm, params.communities)
+    params, _, rigc = _sample(exp, replica)
     percolated = perc_mod.percolate_rigc_graph(rigc, pi, stream(exp.seed, replica, ROLE_PERC))
     stats_a = giant_stats_rigc(percolated)
 
@@ -394,12 +362,8 @@ def _job_percolate(job: tuple) -> tuple:
     return replica, {"percolate.csv": (header, rows)}
 
 
-def _job_sweep(job: tuple) -> tuple:
-    cfg, mode, replica = job
-    exp = Experiment(cfg, mode)
-    params = exp.params_for(replica)
-    bcm = generate_bcm(params, stream(exp.seed, replica, ROLE_MATCH))
-    rigc = project_rigc(bcm, params.communities)
+def _job_sweep(exp: Experiment, replica: int) -> tuple:
+    params, _, rigc = _sample(exp, replica)
     sweep = perc_mod.harris_sweep(rigc, list(exp.pi_grid), stream(exp.seed, replica, ROLE_SWEEP))
     rows = [
         (pi, s.c1_fraction, s.c2_fraction, s.edges_in_giant_per_N, exp.seed, replica, params.n_l)
@@ -409,9 +373,7 @@ def _job_sweep(job: tuple) -> tuple:
     return replica, {"sweep.csv": (header, rows)}
 
 
-def _job_explore(job: tuple) -> tuple:
-    cfg, mode, replica = job
-    exp = Experiment(cfg, mode)
+def _job_explore(exp: Experiment, replica: int) -> tuple:
     params = exp.params_for(replica)
     traj = explore_mod.run_exploration(params, stream(exp.seed, replica, ROLE_EXPLORE))
     inputs = exp.theory_inputs()
@@ -427,11 +389,11 @@ def _job_explore(job: tuple) -> tuple:
     tau_lim = [theory_mod.hitting_time_curve(inputs, c) for c in exp.c_grid]
 
     out = exp.out_dir
-    _write_columns(
+    _write_csv(
         out / f"trajectory_r{replica}.csv",
         ["t", "step", "L", "S", "S_hat", "A", "W"],
-        [traj.times, traj.kinds, traj.living, traj.sleeping, traj.sleeping_hat, traj.active,
-         traj.waiting],
+        _column_rows([traj.times, traj.kinds, traj.living, traj.sleeping, traj.sleeping_hat,
+                      traj.active, traj.waiting]),
     )
     _write_csv(
         out / f"components_r{replica}.csv",
@@ -442,24 +404,20 @@ def _job_explore(job: tuple) -> tuple:
     _write_csv(
         out / f"hitting_r{replica}.csv",
         ["c", "tau", "tau_theory"],
-        list(zip(exp.c_grid, taus.tolist(), tau_lim)),
+        zip(exp.c_grid, taus.tolist(), tau_lim),
     )
     header = ["seed", "replica", "N", "t0", "sup_living", "sup_sleeping_hat", "sup_active_hat"]
     summary = (exp.seed, replica, params.n_l, t0, sup[0], sup[1], sup[2])
     return replica, {"explore_summary.csv": (header, [summary])}
 
 
-def _job_generate(job: tuple) -> tuple:
-    cfg, mode, replica = job
-    exp = Experiment(cfg, mode)
-    params = exp.params_for(replica)
-    bcm = generate_bcm(params, stream(exp.seed, replica, ROLE_MATCH))
-    rigc = project_rigc(bcm, params.communities)
+def _job_generate(exp: Experiment, replica: int) -> tuple:
+    params, _, rigc = _sample(exp, replica)
     shape_objs = [g.to_json_obj() for g in params.communities.shapes]
-    _write_columns(
+    _write_csv(
         exp.out_dir / f"rigc_edges_r{replica}.csv",
         ["u", "v", "mult"],
-        [rigc.edge_u, rigc.edge_v, rigc.edge_mult],
+        _column_rows([rigc.edge_u, rigc.edge_v, rigc.edge_mult]),
     )
     _write_json(
         exp.out_dir / f"params_r{replica}.json",
@@ -501,7 +459,7 @@ def _run_theory(exp: Experiment) -> int:
         _write_csv(
             exp.out_dir / "curves.csv",
             ["z", "sleeping", "living", "active"],
-            list(zip(*(curves[k].tolist() for k in ("z", "sleeping", "living", "active")))),
+            zip(*(curves[k].tolist() for k in ("z", "sleeping", "living", "active"))),
         )
     _write_csv(
         exp.out_dir / "tau_curve.csv",
@@ -523,9 +481,9 @@ _JOBS = {
 def _run_replicas(exp: Experiment) -> int:
     """Run the mode's job once per replica, then write each table the jobs
     return, its rows concatenated in replica order."""
-    jobs = [(exp.cfg, exp.mode, r) for r in range(exp.replicas)]
+    job = functools.partial(_JOBS[exp.mode], exp)
     tables: dict[str, tuple[list[str], list[tuple]]] = {}
-    for _, out in _map_replicas(_JOBS[exp.mode], jobs, exp.threads):
+    for _, out in _map_replicas(job, range(exp.replicas), exp.threads):
         for name, (header, rows) in out.items():
             tables.setdefault(name, (header, []))[1].extend(rows)
     for name, (header, rows) in tables.items():
@@ -642,6 +600,10 @@ def run(config_path, mode: str | None = None, overrides: dict | None = None) -> 
         return 2
     except LabError as exc:
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        # a size too large to allocate, such as target_n = 1e13 in giant
+        print(f"runtime error: MemoryError: {exc}", file=sys.stderr)
         return 3
 
 

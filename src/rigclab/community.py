@@ -319,10 +319,6 @@ class CommunityCatalog:
     def mean_edges(self) -> float:
         return sum(g.edge_count * w for g, w in self.items)
 
-    def sample_indices(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        probs = np.array([w for _, w in self.items])
-        return rng.choice(len(self.items), size=count, p=probs)
-
     def __len__(self) -> int:
         return len(self.items)
 

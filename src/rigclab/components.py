@@ -87,6 +87,10 @@ class GiantStats:
 
 @dataclass(frozen=True)
 class BcmGiantStats:
+    """The bipartite giant, measured (``giant_stats_bcm``) or predicted
+    (``theory.bcm_predictions``); ``as_dict`` keys are both the ``giant.csv``
+    columns and the ``theory.json`` expected values that ``compare`` joins."""
+
     lhs_fraction: float
     rhs_fraction: float
     lhs_degk: dict[int, float]

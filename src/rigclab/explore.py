@@ -255,9 +255,11 @@ def run_exploration(
     args = (*inputs, *buffers)
     n1, nskip, rung_total = _explore_loop(*(args if _HAVE_NUMBA else map(memoryview, args)))
     _, match, _, step1_iters, step1_vertices, skip_rings, skip_extras = buffers
+    # copy the used part of each log, so the trajectory keeps no whole buffer alive
     return Trajectory(
         n_l, n_r, h, match,
-        step1_iters[:n1], step1_vertices[:n1], skip_rings[:nskip], skip_extras[:nskip],
+        step1_iters[:n1].copy(), step1_vertices[:n1].copy(),
+        skip_rings[:nskip].copy(), skip_extras[:nskip].copy(),
         rung_total, ring_time, sigma_arr, l_owner_arr, params.l_degrees, d_seq,
     )
 

@@ -72,6 +72,28 @@ def build_params(
     return ModelParams(l_degrees=degs, communities=communities)
 
 
+def _draw_until(
+    total: int,
+    values: np.ndarray,
+    probs: np.ndarray,
+    mean: float,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, int]:
+    """Indices drawn iid from ``probs``, in chunks sized from ``mean``, up to
+    the first whose running sum of ``values`` reaches ``total``; returns the
+    indices and that sum."""
+    chosen: list[np.ndarray] = []
+    s = 0
+    while s < total:
+        chunk = max(64, int((total - s) / mean * 1.05) + 1)
+        idx = rng.choice(len(probs), size=chunk, p=probs)
+        csum = s + np.cumsum(values[idx])
+        take = min(int(np.searchsorted(csum, total)) + 1, len(idx))
+        chosen.append(idx[:take])
+        s = int(csum[take - 1])
+    return np.concatenate(chosen), s
+
+
 def sample_params(
     l_pmf: Pmf,
     catalog: CommunityCatalog,
@@ -94,31 +116,12 @@ def sample_params(
 
     shapes = tuple(g for g, _ in catalog.items)
     sizes = np.array([g.n for g in shapes], dtype=np.int64)
-    mean_size = catalog.mean_size()
-    chosen: list[np.ndarray] = []
-    h = 0
-    while h < target_h:
-        chunk = max(64, int((target_h - h) / mean_size * 1.05) + 1)
-        idx = catalog.sample_indices(chunk, rng)
-        csum = h + np.cumsum(sizes[idx])
-        stop = int(np.searchsorted(csum, target_h))
-        take = min(stop + 1, len(idx))
-        chosen.append(idx[:take])
-        h = int(csum[take - 1])
+    probs = np.array([w for _, w in catalog.items])
+    type_index, h = _draw_until(target_h, sizes, probs, catalog.mean_size(), rng)
 
     values = np.array(l_pmf.values, dtype=np.int64)
-    probs = np.array(l_pmf.weights)
-    drawn: list[np.ndarray] = []
-    s = 0
-    while s < h:
-        chunk = max(64, int((h - s) / l_pmf.mean() * 1.05) + 1)
-        draw = rng.choice(values, size=chunk, p=probs)
-        csum = s + np.cumsum(draw)
-        stop = int(np.searchsorted(csum, h))
-        take = min(stop + 1, len(draw))
-        drawn.append(draw[:take])
-        s = int(csum[take - 1])
-    degs = np.concatenate(drawn)
+    idx, s = _draw_until(h, values, np.array(l_pmf.weights), l_pmf.mean(), rng)
+    degs = values[idx]
     excess = s - h
     if excess > 0:
         trimmed = max(1, int(degs[-1]) - excess)
@@ -127,8 +130,7 @@ def sample_params(
     # unreachable under iid draws (excess <= last degree - 1), kept as a guard
     degs = np.concatenate([degs, np.ones(h - s, dtype=np.int64)])
 
-    communities = CommunityList(shapes, np.concatenate(chosen))
-    return build_params(degs, communities)
+    return build_params(degs, CommunityList(shapes, type_index))
 
 
 def empirical_l_pmf(params: ModelParams) -> Pmf:

@@ -101,10 +101,6 @@ class Pmf:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def point_mass(cls, k: int) -> "Pmf":
-        return cls({k: 1.0})
-
-    @classmethod
     def from_counts(cls, counts: Mapping[int, int] | np.ndarray) -> "Pmf":
         """Empirical pmf from integer counts (array index = value)."""
         if isinstance(counts, np.ndarray):

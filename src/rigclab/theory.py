@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .community import CommunityCatalog
+from .components import BcmGiantStats
 from .errors import ExcludedRegime, NonConvergence, NotSupercritical, OutOfDomain
 from .pmf import Pmf, convolve_power
 
@@ -217,29 +218,11 @@ def edges_in_giant_from_joint(
 # -- the bipartite giant -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BcmPrediction:
-    lhs_fraction: float
-    rhs_fraction: float
-    lhs_degk: dict[int, float]
-    rhs_degk: dict[int, float]
-    edges_per_N: float
-    combined_fraction: float
-
-    def as_dict(self) -> dict:
-        return {
-            "bcm_lhs_fraction": self.lhs_fraction,
-            "bcm_rhs_fraction": self.rhs_fraction,
-            "bcm_edges_per_N": self.edges_per_N,
-            "bcm_combined_fraction": self.combined_fraction,
-        }
-
-
-def bcm_predictions(inputs: TheoryInputs, prediction: GiantPrediction) -> BcmPrediction:
+def bcm_predictions(inputs: TheoryInputs, prediction: GiantPrediction) -> BcmGiantStats:
     if not prediction.supercritical:
         raise NotSupercritical("bipartite giant law needs a giant component")
     eta_l, eta_r = prediction.eta_l, prediction.eta_r
-    return BcmPrediction(
+    return BcmGiantStats(
         lhs_fraction=prediction.xi_l,
         rhs_fraction=prediction.xi_r,
         lhs_degk={k: w * (1.0 - eta_l**k) for k, w in zip(inputs.p.values, inputs.p.weights)},

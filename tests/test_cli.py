@@ -12,7 +12,7 @@ import rigclab
 from conftest import gilbert_component_counts, philox
 from rigclab import CommunityCatalog, Pmf, complete_graph, run_exploration, sample_params
 from rigclab import cli
-from rigclab.cli import DEFAULT_TOLERANCES, _write_columns, _write_csv, compare, run
+from rigclab.cli import DEFAULT_TOLERANCES, _column_rows, _write_csv, compare, run
 from rigclab.errors import KeyMismatch
 
 ESTAR_INPUTS = {
@@ -227,6 +227,9 @@ def run_cli_subprocess(tmp_path, mode, timeout, **cfg):
         pytest.param("pi-c", {"tol": 1e-300}, 0, id="tol-below-float-spacing"),
         pytest.param("theory", {"d_max": -5}, 2, id="d-max-negative"),
         pytest.param("theory", {"d_max": 1e12}, 0, id="d-max-huge"),
+        # its first draw asks for about 51 TiB, refused at once with no page touched;
+        # never test a size the host could actually commit
+        pytest.param("giant", {"target_n": 1e13, "seed": 1}, 3, id="target-n-huge"),
     ],
 )
 def test_hostile_config_ends(tmp_path, mode, change, code):
@@ -236,6 +239,9 @@ def test_hostile_config_ends(tmp_path, mode, change, code):
     if code == 2:
         (field,) = change
         assert done.stderr.startswith(f"config error: {field}:")
+        assert not (tmp_path / "out").exists()
+    elif code == 3:
+        assert done.stderr.startswith("runtime error: MemoryError: ")
         assert not (tmp_path / "out").exists()
     elif mode == "pi-c":
         report = json.loads((tmp_path / "out" / "pi_c.json").read_text())
@@ -401,6 +407,12 @@ def test_trajectory_csv_matches_exploration(tmp_path):
         assert [parse(c) for c in column] == expected[name].tolist(), name
 
 
+def repr_csv(header, rows) -> bytes:
+    """Oracle: each cell is ``repr`` of its Python value."""
+    lines = [",".join(header)] + [",".join(repr(x) for x in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
 @pytest.mark.parametrize(
     "columns",
     [
@@ -424,13 +436,48 @@ def test_trajectory_csv_matches_exploration(tmp_path):
              philox(20).integers(0, 3, 5_000).astype(np.int8)],
             id="random",
         ),
+        pytest.param(
+            [np.arange(2 * cli.CSV_CHUNK + 5), philox(21).random(2 * cli.CSV_CHUNK + 5)],
+            id="longer-than-chunk",
+        ),
     ],
 )
 def test_write_columns_matches_write_csv(tmp_path, columns):
+    """A column table written through ``_column_rows`` and ``_write_csv``
+    holds ``repr`` of every ``.tolist()`` value, row by row."""
     header = [f"c{i}" for i in range(len(columns))]
-    _write_columns(tmp_path / "columns.csv", header, columns)
-    _write_csv(tmp_path / "rows.csv", header, list(zip(*(c.tolist() for c in columns))))
-    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    _write_csv(tmp_path / "columns.csv", header, _column_rows(columns))
+    rows = list(zip(*(c.tolist() for c in columns)))
+    assert (tmp_path / "columns.csv").read_bytes() == repr_csv(header, rows)
+
+
+def test_write_csv_mixed_rows(tmp_path):
+    """Text cells print bare and a JSON int in a float column keeps no ``.0``."""
+    header = ["pi", "route", "c1_fraction"]
+    rows = [(1, "graph", 0.25), (0.5, "communities", float("nan"))]
+    _write_csv(tmp_path / "t.csv", header, rows)
+    assert (tmp_path / "t.csv").read_text() == (
+        "pi,route,c1_fraction\n1,graph,0.25\n0.5,communities,nan\n"
+    )
+
+
+def test_experiment_built_once_per_run(tmp_path, monkeypatch):
+    """The config is validated once; every replica job reuses that Experiment."""
+    built = []
+
+    class CountedExperiment(cli.Experiment):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(cli, "Experiment", CountedExperiment)
+    cfg = write_config(
+        tmp_path, "cfg.json", inputs=ESTAR_INPUTS, target_n=500, replicas=3, seed=5,
+        out_dir=str(tmp_path / "out"),
+    )
+    assert run(cfg, mode="giant") == 0
+    assert len(built) == 1
+    assert len((tmp_path / "out" / "giant.csv").read_text().splitlines()) == 4
 
 
 def test_rows_carry_keys(tmp_path):

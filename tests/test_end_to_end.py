@@ -54,6 +54,8 @@ def test_giant_matches_prediction(mixed, mixed_instance):
         rl.edges_in_giant_rigc(inputs, pred), abs=0.05
     )
     bcm_pred = rl.bcm_predictions(inputs, pred)
+    # one result class: its keys are the columns compare joins against theory.json
+    assert isinstance(bcm_pred, rl.BcmGiantStats) and isinstance(bstats, rl.BcmGiantStats)
     assert bstats.rhs_fraction == pytest.approx(pred.xi_r, abs=0.02)
     assert bstats.edges_per_N == pytest.approx(bcm_pred.edges_per_N, abs=0.05)
     assert bstats.combined_fraction == pytest.approx(bcm_pred.combined_fraction, abs=0.02)

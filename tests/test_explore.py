@@ -144,6 +144,20 @@ def test_columns_independent_of_read_order(p_estar, cat_estar):
         assert np.array_equal(column, second[name]), name
 
 
+LOGS = ("step1_iters", "step1_vertices", "skip_rings", "skip_extras")
+
+
+def test_logs_own_their_memory(p_estar, cat_estar):
+    """Each log holds its used entries only, not a view of a whole n_l- or
+    h-long loop buffer."""
+    params = sample_params(p_estar, cat_estar, 2_000, philox(54))
+    traj = run_exploration(params, philox(55))
+    for name in LOGS:
+        log = getattr(traj, name)
+        assert len(log) > 0, name
+        assert log.base is None, name
+
+
 def test_component_records_match_union_find(p_estar, cat_estar):
     params = sample_params(p_estar, cat_estar, 3_000, philox(8))
     traj = run_exploration(params, philox(9))
