@@ -71,7 +71,6 @@ from .pmf import Pmf, convolve_power, convolve_weights
 from .theory import (
     GiantPrediction,
     TheoryInputs,
-    active_halfedge_curve,
     bcm_predictions,
     bp_survival_sim,
     curve_table,
@@ -81,8 +80,6 @@ from .theory import (
     hitting_time_curve,
     joint_degree_in_giant,
     joint_degree_in_giant_table,
-    living_halfedge_curve,
-    sleeping_halfedge_curve,
     solve_eta_l,
 )
 

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from collections import deque
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -218,8 +219,8 @@ class Experiment:
             _fail("tol", "must lie in (0, 1)")
         # t0, c_grid and pi_grid keep their JSON values: CSV rows print them as given
         self.t0 = cfg.get("t0")
-        if self.t0 is not None:
-            _float(self.t0, "t0")
+        if self.t0 is not None and not _float(self.t0, "t0") >= 0.0:
+            _fail("t0", "must be a number >= 0")
         self.c_grid = cfg.get("c_grid") or [round(0.1 + 0.05 * i, 10) for i in range(19)]
         _check_numbers(self.c_grid, "c_grid", lambda c: 0.0 < c <= 1.0, "(0, 1]")
         self.d_max = cfg.get("d_max")
@@ -264,6 +265,9 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+#: jobs handed to the pool per worker ahead of the result being read
+AHEAD_PER_WORKER = 2
+
 # rows per "".join in _write_csv: a column table never holds all of its cells
 # as Python objects, and a chunk's objects stay in cache (chunks of 32k rows
 # wrote a 200k-row trajectory about 20% slower)
@@ -293,19 +297,26 @@ def _column_rows(columns: list[np.ndarray]) -> Iterator[tuple]:
         yield from zip(*(col[i : i + CSV_CHUNK].tolist() for col in columns))
 
 
-def _map_replicas(fn, replicas: range, threads: int) -> list:
-    """Results of ``fn`` over ``replicas``, sorted by replica.
+def _map_replicas(fn, replicas: range, threads: int) -> Iterator:
+    """Results of ``fn`` over ``replicas``, yielded in replica order.
 
     The pool has at most one worker per replica and per CPU: a fork-based
     pool starts all of its workers at the first submit, whatever the job count.
+    It is handed at most ``AHEAD_PER_WORKER`` jobs per worker beyond the
+    results read so far, so a large ``replicas`` never queues every job at once.
     """
     workers = min(threads, len(replicas), os.cpu_count() or 1)
     if workers <= 1:
-        results = [fn(r) for r in replicas]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(fn, replicas))
-    return sorted(results, key=lambda item: item[0])
+        yield from map(fn, replicas)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        for replica in replicas:
+            if len(pending) == AHEAD_PER_WORKER * workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, replica))
+        while pending:
+            yield pending.popleft().result()
 
 
 # -- replica jobs (top level so worker processes can import them) -------------------
@@ -318,7 +329,7 @@ def _sample(exp: Experiment, replica: int) -> tuple:
     return params, bcm, project_rigc(bcm, params.communities)
 
 
-def _job_giant(exp: Experiment, replica: int) -> tuple:
+def _job_giant(exp: Experiment, replica: int) -> dict:
     params, bcm, rigc = _sample(exp, replica)
     labels = rigc_components(rigc)
     stats = giant_stats_rigc(rigc, params, labels)
@@ -334,13 +345,13 @@ def _job_giant(exp: Experiment, replica: int) -> tuple:
         (exp.seed, replica, params.n_l, k, d, frac)
         for (k, d), frac in sorted(stats.joint_in_giant.items())
     ]
-    return replica, {
+    return {
         "giant.csv": (list(row), [tuple(row.values())]),
         "joint.csv": (["seed", "replica", "N", "k", "d", "fraction"], joint),
     }
 
 
-def _job_percolate(exp: Experiment, replica: int) -> tuple:
+def _job_percolate(exp: Experiment, replica: int) -> dict:
     pi = float(exp.pi)
     params, _, rigc = _sample(exp, replica)
     percolated = perc_mod.percolate_rigc_graph(rigc, pi, stream(exp.seed, replica, ROLE_PERC))
@@ -359,10 +370,10 @@ def _job_percolate(exp: Experiment, replica: int) -> tuple:
          stats_b.c2_fraction, stats_b.edges_in_giant_per_N),
     ]
     header = ["seed", "replica", "N", "pi", "route", "c1_fraction", "c2_fraction", "edges_per_N"]
-    return replica, {"percolate.csv": (header, rows)}
+    return {"percolate.csv": (header, rows)}
 
 
-def _job_sweep(exp: Experiment, replica: int) -> tuple:
+def _job_sweep(exp: Experiment, replica: int) -> dict:
     params, _, rigc = _sample(exp, replica)
     sweep = perc_mod.harris_sweep(rigc, list(exp.pi_grid), stream(exp.seed, replica, ROLE_SWEEP))
     rows = [
@@ -370,10 +381,10 @@ def _job_sweep(exp: Experiment, replica: int) -> tuple:
         for pi, s in zip(exp.pi_grid, sweep)
     ]
     header = ["pi", "c1_fraction", "c2_fraction", "edges_per_N", "seed", "replica", "N"]
-    return replica, {"sweep.csv": (header, rows)}
+    return {"sweep.csv": (header, rows)}
 
 
-def _job_explore(exp: Experiment, replica: int) -> tuple:
+def _job_explore(exp: Experiment, replica: int) -> dict:
     params = exp.params_for(replica)
     traj = explore_mod.run_exploration(params, stream(exp.seed, replica, ROLE_EXPLORE))
     inputs = exp.theory_inputs()
@@ -381,12 +392,12 @@ def _job_explore(exp: Experiment, replica: int) -> tuple:
     horizon = explore_mod.horizon(inputs)
     t0 = exp.t0 if exp.t0 is not None else min(2.0, 0.9 * horizon)
     sup = (
-        explore_mod.trajectory_sup_error(traj, inputs, t0)
-        if t0 < horizon
+        explore_mod.trajectory_sup_error(traj, inputs, float(t0))
+        if float(t0) < horizon
         else (math.nan, math.nan, math.nan)
     )
     taus = explore_mod.hitting_times(traj, exp.c_grid)
-    tau_lim = [theory_mod.hitting_time_curve(inputs, c) for c in exp.c_grid]
+    tau_lim = theory_mod.hitting_time_curve(inputs, exp.c_grid).tolist()
 
     out = exp.out_dir
     _write_csv(
@@ -408,10 +419,10 @@ def _job_explore(exp: Experiment, replica: int) -> tuple:
     )
     header = ["seed", "replica", "N", "t0", "sup_living", "sup_sleeping_hat", "sup_active_hat"]
     summary = (exp.seed, replica, params.n_l, t0, sup[0], sup[1], sup[2])
-    return replica, {"explore_summary.csv": (header, [summary])}
+    return {"explore_summary.csv": (header, [summary])}
 
 
-def _job_generate(exp: Experiment, replica: int) -> tuple:
+def _job_generate(exp: Experiment, replica: int) -> dict:
     params, _, rigc = _sample(exp, replica)
     shape_objs = [g.to_json_obj() for g in params.communities.shapes]
     _write_csv(
@@ -426,7 +437,7 @@ def _job_generate(exp: Experiment, replica: int) -> tuple:
             "communities": [shape_objs[t] for t in params.communities.type_index.tolist()],
         },
     )
-    return replica, {}
+    return {}
 
 
 # -- mode runners ------------------------------------------------------------------
@@ -464,7 +475,7 @@ def _run_theory(exp: Experiment) -> int:
     _write_csv(
         exp.out_dir / "tau_curve.csv",
         ["c", "tau"],
-        [(c, theory_mod.hitting_time_curve(inputs, c)) for c in exp.c_grid],
+        zip(exp.c_grid, theory_mod.hitting_time_curve(inputs, exp.c_grid).tolist()),
     )
     return 0
 
@@ -483,7 +494,7 @@ def _run_replicas(exp: Experiment) -> int:
     return, its rows concatenated in replica order."""
     job = functools.partial(_JOBS[exp.mode], exp)
     tables: dict[str, tuple[list[str], list[tuple]]] = {}
-    for _, out in _map_replicas(job, range(exp.replicas), exp.threads):
+    for out in _map_replicas(job, range(exp.replicas), exp.threads):
         for name, (header, rows) in out.items():
             tables.setdefault(name, (header, []))[1].extend(rows)
     for name, (header, rows) in tables.items():

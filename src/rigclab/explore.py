@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainHorizon, EmptyGrid, OutOfDomain
 from .model import BcmGraph, ModelParams
-from .theory import TheoryInputs, q_tilde_zero
+from .theory import TheoryInputs, curve_table, q_tilde_zero
 
 try:
     from numba import njit
@@ -378,24 +378,22 @@ def trajectory_sup_error(
     traj: Trajectory, inputs: TheoryInputs, t0: float
 ) -> tuple[float, float, float]:
     """Sup deviation (over event times <= t0) of L/N, S_hat/N and A_hat/N
-    from their limit curves."""
+    from their limit curves.
+
+    The first event is at time 0, so every t0 in [0, horizon) covers at
+    least one event.
+    """
+    if not t0 >= 0.0:
+        raise OutOfDomain(f"t0={t0} must be a number >= 0")
     if t0 >= horizon(inputs):
         raise DomainHorizon(f"t0={t0} is beyond the curve domain {horizon(inputs)}")
     mask = traj.times <= t0
-    if not mask.any():
-        return (0.0, 0.0, 0.0)
-    t = traj.times[mask]
-    z = np.exp(-t)
+    curves = curve_table(inputs, np.exp(-traj.times[mask]))
     n = traj.n_l
-    mean_p = inputs.p.mean()
-    living_lim = mean_p * z * inputs.q_tilde.gf_inverse_many(z)
-    sleeping_lim = mean_p * z * inputs.p_tilde.gf_eval_many(z)
-    active_lim = living_lim - sleeping_lim
-
-    living_err = np.abs(traj.living[mask] / n - living_lim).max()
-    shat_err = np.abs(traj.sleeping_hat[mask] / n - sleeping_lim).max()
+    living_err = np.abs(traj.living[mask] / n - curves["living"]).max()
+    shat_err = np.abs(traj.sleeping_hat[mask] / n - curves["sleeping"]).max()
     ahat = (traj.living[mask] - traj.sleeping_hat[mask]) / n
-    ahat_err = np.abs(ahat - active_lim).max()
+    ahat_err = np.abs(ahat - curves["active"]).max()
     return float(living_err), float(shat_err), float(ahat_err)
 
 

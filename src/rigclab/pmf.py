@@ -29,8 +29,8 @@ WEIGHT_SUM_TOL = 1e-12
 #: largest accepted Poisson mean; the support grows like its square root
 POISSON_MAX_MEAN = 1e6
 
+#: inverse-PGF arguments may overshoot [P(X=0), 1] by this much (rounding)
 _INVERSE_TOL = 1e-12
-_INVERSE_MAX_ITER = 200
 
 
 class Pmf:
@@ -185,51 +185,27 @@ class Pmf:
             out += w * z**v
         return out
 
-    def gf_inverse(self, y: float) -> float:
-        """Inverse PGF by bisection: the z in [0, 1] with G(z) = y.
+    def gf_inverse_many(self, y) -> np.ndarray:
+        """Inverse PGF: for each y in [P(X=0), 1], the z in [0, 1] with G(z) = y.
 
-        The PGF is strictly increasing on [0, 1] whenever the pmf is not a
-        point mass at 0, so bisection is unconditionally safe.  y must lie
-        in [P(X=0), 1].
-        """
-        g0 = self.prob(0)
-        if g0 >= 1.0:
-            raise OutOfRange("pmf is a point mass at 0; PGF is constant")
-        if not g0 - _INVERSE_TOL <= y <= 1.0 + _INVERSE_TOL:
-            raise OutOfRange(f"y={y} outside [{g0}, 1]")
-        y = min(max(y, g0), 1.0)
-        lo, hi = 0.0, 1.0
-        for _ in range(_INVERSE_MAX_ITER):
-            mid = 0.5 * (lo + hi)
-            g = self.gf_eval(mid)
-            if abs(g - y) <= _INVERSE_TOL:
-                return mid
-            if g < y:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-16:
-                break
-        return 0.5 * (lo + hi)
-
-    def gf_inverse_many(self, y: np.ndarray) -> np.ndarray:
-        """Vectorized ``gf_inverse``.
-
-        Supports with closed-form inverses (a single atom, or an atom at 0
-        plus one more) are inverted exactly; everything else is bisected in
-        parallel.
+        The PGF is strictly increasing on [0, 1] unless the pmf is a point
+        mass at 0.  A single atom, or an atom at 0 plus one more, inverts in
+        closed form; any other support is bisected in parallel down to a
+        bracket of width 2^-60 around each root.  NaN raises like any other
+        value outside the range.
         """
         y = np.asarray(y, dtype=float)
         g0 = self.prob(0)
         if g0 >= 1.0:
             raise OutOfRange("pmf is a point mass at 0; PGF is constant")
-        if y.size and (y.min() < g0 - _INVERSE_TOL or y.max() > 1.0 + _INVERSE_TOL):
-            raise OutOfRange("y values outside the PGF range")
+        if y.size and not (y.min() >= g0 - _INVERSE_TOL and y.max() <= 1.0 + _INVERSE_TOL):
+            raise OutOfRange(f"y values outside the PGF range [{g0}, 1]")
         y = np.clip(y, g0, 1.0)
         if len(self._values) == 1:
             return y ** (1.0 / self._values[0])
         if len(self._values) == 2 and self._values[0] == 0:
-            return ((y - g0) / self._weights[1]) ** (1.0 / self._values[1])
+            # (1 - g0) / w1 can round above 1, so the root is capped at 1
+            return np.minimum(((y - g0) / self._weights[1]) ** (1.0 / self._values[1]), 1.0)
         lo = np.zeros_like(y)
         hi = np.ones_like(y)
         for _ in range(60):

@@ -242,43 +242,26 @@ def q_tilde_zero(inputs: TheoryInputs) -> float:
     return inputs.q_tilde.prob(0)
 
 
-def sleeping_halfedge_curve(inputs: TheoryInputs, z: float) -> float:
-    """Limit of sleeping half-edges per individual at z = e^(-t)."""
-    if not 0.0 <= z <= 1.0:
-        raise OutOfDomain(f"z={z} outside [0, 1]")
-    return inputs.p.mean() * z * inputs.p_tilde.gf_eval(z)
+def hitting_time_curve(inputs: TheoryInputs, c):
+    """Limit of the time at which the living fraction first drops to c,
+    -log c + log G_{q*}^{-1}(c), for a number or an array of c in (0, 1]."""
+    c = np.asarray(c, dtype=float)
+    if c.size and not (c.min() > 0.0 and c.max() <= 1.0):
+        raise OutOfDomain("c values must lie in (0, 1]")
+    return -np.log(c) + np.log(inputs.q.size_bias().gf_inverse_many(c))
 
 
-def living_halfedge_curve(inputs: TheoryInputs, z: float) -> float:
-    """Limit of living (unmatched) half-edges per individual at z = e^(-t).
+def curve_table(inputs: TheoryInputs, z) -> dict[str, np.ndarray]:
+    """Limits of the sleeping, living and active (living minus sleeping)
+    half-edges per individual at each z = e^(-t) of a grid.
 
-    Defined on [q1/E[Dr], 1]; the inverse tilted PGF drives the curve because
-    group discoveries remove half-edges instantaneously.
+    Sleeping is E[L] z G_p~(z).  Living is E[L] z G_q~^{-1}(z), defined on
+    [q~(0), 1]: group discoveries remove half-edges instantaneously, so the
+    inverse tilted PGF drives it.
     """
-    q0 = q_tilde_zero(inputs)
-    if not q0 <= z <= 1.0:
-        raise OutOfDomain(f"z={z} outside [{q0}, 1]")
-    return inputs.p.mean() * z * inputs.q_tilde.gf_inverse(z)
-
-
-def active_halfedge_curve(inputs: TheoryInputs, z: float) -> float:
-    """Living minus sleeping: the drift of active half-edges (signed)."""
-    return living_halfedge_curve(inputs, z) - sleeping_halfedge_curve(inputs, z)
-
-
-def hitting_time_curve(inputs: TheoryInputs, c: float) -> float:
-    """Limit of the time at which the living fraction first drops to c."""
-    if not 0.0 < c <= 1.0:
-        raise OutOfDomain(f"c={c} outside (0, 1]")
-    q_star = inputs.q.size_bias()
-    return -math.log(c) + math.log(q_star.gf_inverse(c))
-
-
-def curve_table(inputs: TheoryInputs, z: np.ndarray) -> dict[str, np.ndarray]:
-    """Vectorized limit curves on a z grid (restricted to the valid domain)."""
     z = np.asarray(z, dtype=float)
     q0 = q_tilde_zero(inputs)
-    if z.size and (z.min() < q0 or z.max() > 1.0):
+    if z.size and not (z.min() >= q0 and z.max() <= 1.0):
         raise OutOfDomain(f"grid must lie in [{q0}, 1]")
     mean_p = inputs.p.mean()
     sleeping = mean_p * z * inputs.p_tilde.gf_eval_many(z)

@@ -42,6 +42,20 @@ def bisect_eta(inputs: TheoryInputs, iters: int = 200) -> float:
     return 0.5 * (lo + hi)
 
 
+def exact_pgf_inverse(weights: dict[int, Fraction], y: Fraction, iters: int = 80) -> Fraction:
+    """Independent inverse-PGF oracle: bisection in rational arithmetic for
+    the z in [0, 1] with sum_k weights[k] z^k = y.  Every comparison is exact,
+    so the root lies within 2^-iters of the result."""
+    lo, hi = Fraction(0), Fraction(1)
+    for _ in range(iters):
+        mid = (lo + hi) / 2
+        if sum(w * mid**k for k, w in weights.items()) < y:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
 def gilbert_component_counts(n: int, pi: float) -> list[Fraction]:
     """Exact expected number of components of each size 0..n of the complete
     graph K_n after keeping each edge with probability pi.

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -330,8 +331,10 @@ def test_replica_pool_size_capped(tmp_path, monkeypatch, threads, replicas, cpus
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
-            return map(fn, jobs)
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
@@ -344,6 +347,70 @@ def test_replica_pool_size_capped(tmp_path, monkeypatch, threads, replicas, cpus
         outs.append((out / "giant.csv").read_bytes() + (out / "joint.csv").read_bytes())
     assert created == ([] if workers is None else [workers])
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_replica_submissions_bounded(monkeypatch, cpus):
+    """The pool never holds more than AHEAD_PER_WORKER jobs per worker beyond
+    the results read, and results come back in replica order although the
+    stand-in pool finishes jobs in reverse order of submission."""
+    outstanding = []
+
+    class LazyFuture:
+        def __init__(self, fn, arg):
+            self.fn, self.arg = fn, arg
+
+        def result(self):
+            outstanding.append(outstanding[-1] - 1)
+            return self.fn(self.arg)
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            assert max_workers == cpus
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, arg):
+            outstanding.append((outstanding[-1] if outstanding else 0) + 1)
+            return LazyFuture(fn, arg)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    results = cli._map_replicas(lambda r: r * r, range(1000), threads=8)
+    assert outstanding == []  # nothing is submitted before the first read
+    assert list(results) == [r * r for r in range(1000)]
+    assert max(outstanding) == cli.AHEAD_PER_WORKER * cpus
+    assert outstanding[-1] == 0
+
+
+@pytest.mark.parametrize(
+    "t0,code",
+    [
+        pytest.param(-1, 2, id="negative"),
+        pytest.param("nan", 2, id="nan"),
+        pytest.param("1.5", 0, id="numeric-string"),
+    ],
+)
+def test_explore_t0_rule(tmp_path, t0, code):
+    """A t0 below 0 or NaN is a config error; it used to pass as a perfect
+    sup error of 0.  A numeric string is a number, printed as given."""
+    done = run_cli_subprocess(
+        tmp_path, "explore", 60, inputs=ESTAR_INPUTS, seed=1, target_n=2000, t0=t0
+    )
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr
+    if code == 2:
+        assert done.stderr.startswith("config error: t0:")
+        assert not (tmp_path / "out").exists()
+    else:
+        summary = (tmp_path / "out" / "explore_summary.csv").read_text().splitlines()
+        row = dict(zip(summary[0].split(","), summary[1].split(",")))
+        assert row["t0"] == "1.5"
+        assert 0.0 < float(row["sup_living"]) < 0.1
 
 
 @pytest.mark.parametrize(

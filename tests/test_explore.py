@@ -11,6 +11,7 @@ from rigclab import (
     bcm_components,
     build_params,
     coupled_standard_hitting,
+    curve_table,
     empirical_catalog,
     empirical_l_pmf,
     giant_exploration_window,
@@ -224,9 +225,17 @@ def test_sup_error_subcritical(k2):
     assert sup_a < 0.02
     # the drift curve is nonpositive for subcritical inputs
     ts = np.linspace(0.01, 1.0, 100)
-    from rigclab import active_halfedge_curve
+    assert (curve_table(inputs, np.exp(-ts))["active"] <= 1e-12).all()
 
-    assert all(active_halfedge_curve(inputs, math.exp(-t)) <= 1e-12 for t in ts)
+
+@pytest.mark.parametrize("t0", [-1.0, -1e-300, math.nan])
+def test_sup_error_rejects_negative_or_nan_t0(k2, t0):
+    # no event precedes time 0, so such a t0 would measure nothing
+    params = build_params([1] * 100, [k2] * 50)
+    inputs = TheoryInputs.from_p_catalog(empirical_l_pmf(params), empirical_catalog(params))
+    traj = run_exploration(params, philox(16))
+    with pytest.raises(OutOfDomain):
+        trajectory_sup_error(traj, inputs, t0)
 
 
 def test_domain_horizon_guard(k2, k1):
@@ -255,9 +264,7 @@ def test_hitting_times_concentrate(p_estar, cat_estar, inputs_estar):
     traj = run_exploration(params, philox(21))
     grid = np.linspace(0.1, 1.0, 19)
     taus = hitting_times(traj, grid)
-    sup = max(
-        abs(t - hitting_time_curve(inputs_estar, float(c))) for t, c in zip(taus, grid)
-    )
+    sup = np.abs(taus - hitting_time_curve(inputs_estar, grid)).max()
     assert sup < 0.05
 
 
@@ -288,11 +295,10 @@ def test_time_saved_matches_wake_process_limit(p_estar, cat_estar, inputs_estar)
     std = coupled_standard_hitting(traj, philox(63))
     grid = np.linspace(0.1, 0.95, 12)
     taus = hitting_times(traj, grid)
-    for c, tau in zip(grid, taus):
+    limits = -np.log(q_star.gf_inverse_many(grid))
+    for c, tau, limit in zip(grid, taus, limits):
         saved = std.hitting(float(c)) - float(tau)
-        assert saved == pytest.approx(
-            -math.log(q_star.gf_inverse(float(c))), abs=0.05
-        )
+        assert saved == pytest.approx(limit, abs=0.05)
 
 
 def test_zr_hitting_matches_inverse_pgf(cat_estar, inputs_estar):
@@ -301,9 +307,8 @@ def test_zr_hitting_matches_inverse_pgf(cat_estar, inputs_estar):
     q_star = inputs_estar.q.size_bias()
     path = zr_process(degrees, philox(26))
     grid = np.linspace(0.1, 0.99, 25)
-    sup = max(
-        abs(path.hitting(float(c)) + math.log(q_star.gf_inverse(float(c)))) for c in grid
-    )
+    limits = -np.log(q_star.gf_inverse_many(grid))
+    sup = max(abs(path.hitting(float(c)) - limit) for c, limit in zip(grid, limits))
     assert sup < 0.05
 
 
@@ -316,9 +321,8 @@ def test_zr_hitting_mixed_degrees():
     q_star = q.size_bias()
     path = zr_process(degrees, philox(28))
     grid = np.linspace(0.1, 0.99, 25)
-    sup = max(
-        abs(path.hitting(float(c)) + math.log(q_star.gf_inverse(float(c)))) for c in grid
-    )
+    limits = -np.log(q_star.gf_inverse_many(grid))
+    sup = max(abs(path.hitting(float(c)) - limit) for c, limit in zip(grid, limits))
     assert sup < 0.05
 
 

@@ -90,27 +90,31 @@ def test_gf_eval_values():
 
 
 def test_gf_inverse_values():
+    # an atom at 0 plus one more inverts in closed form, exact at these points
     p = Pmf({0: 0.25, 2: 0.75})
-    # contract: |G(z) - y| <= 1e-12, so z itself carries the induced slack
-    assert p.gf_inverse(1.0) == pytest.approx(1.0, abs=1e-9)
-    assert p.gf_inverse(0.25) == pytest.approx(0.0, abs=2e-6)
-    assert p.gf_eval(p.gf_inverse(0.25)) == pytest.approx(0.25, abs=1e-12)
-    assert p.gf_inverse(0.4375) == pytest.approx(0.5, abs=1e-9)
+    assert p.gf_inverse_many([1.0, 0.25, 0.4375]).tolist() == [1.0, 0.0, 0.5]
+    # here (1 - p0) / p3 rounds to 1 + 2^-52, but the root stays in [0, 1]
+    assert Pmf({0: 0.6657567303994364, 3: 0.33424326960056355}).gf_inverse_many(1.0) == 1.0
+    # any other support is bisected: G(z) = (z + z^2) / 2 has G(1/2) = 3/8
+    assert Pmf({1: 0.5, 2: 0.5}).gf_inverse_many(0.375) == pytest.approx(0.5, abs=1e-15)
+    for y in (0.2, 1.5, math.nan, [0.5, math.nan]):
+        with pytest.raises(OutOfRange):
+            p.gf_inverse_many(y)
     with pytest.raises(OutOfRange):
-        p.gf_inverse(0.2)
-    with pytest.raises(OutOfRange):
-        Pmf({0: 1.0}).gf_inverse(0.5)
+        Pmf({0: 1.0}).gf_inverse_many(0.5)
 
 
 def test_gf_inverse_roundtrip_property():
+    # both routes: closed forms (one atom, or an atom at 0 plus one more) and
+    # the parallel bisection; gf_eval refuses a root outside [0, 1]
     rng = np.random.default_rng(11)
-    for _ in range(20):
+    for _ in range(30):
         p = random_pmf(rng)
         if p.prob(0) >= 1.0:
             continue
-        for y in np.linspace(p.prob(0), 1.0, 11):
-            z = p.gf_inverse(float(y))
-            assert p.gf_eval(z) == pytest.approx(float(y), abs=1e-10)
+        ys = np.linspace(p.prob(0), 1.0, 23)
+        for y, z in zip(ys, p.gf_inverse_many(ys)):
+            assert p.gf_eval(float(z)) == pytest.approx(float(y), abs=1e-14)
 
 
 def test_gf_inverse_many_matches_scalar():

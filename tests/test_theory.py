@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,25 +10,23 @@ from rigclab import (
     CommunityGraph,
     Pmf,
     TheoryInputs,
-    active_halfedge_curve,
     bcm_predictions,
     bp_survival_sim,
     complete_graph,
     curve_table,
+    cycle_graph,
     edges_in_giant_from_joint,
     edges_in_giant_rigc,
     giant_prediction,
     hitting_time_curve,
     joint_degree_in_giant,
     joint_degree_in_giant_table,
-    living_halfedge_curve,
     path_graph,
-    sleeping_halfedge_curve,
     solve_eta_l,
 )
 from rigclab.errors import ExcludedRegime, NotSupercritical, OutOfDomain
 from rigclab.theory import default_truncation
-from conftest import bisect_eta, philox
+from conftest import bisect_eta, exact_pgf_inverse, philox
 
 
 def make_inputs(p_entries, catalog_items):
@@ -236,34 +235,34 @@ def test_cm_contraction_consistency():
 
 def test_curves_at_one(inputs_estar):
     mean = inputs_estar.p.mean()
-    assert sleeping_halfedge_curve(inputs_estar, 1.0) == pytest.approx(mean, abs=1e-9)
-    assert living_halfedge_curve(inputs_estar, 1.0) == pytest.approx(mean, abs=1e-9)
-    assert active_halfedge_curve(inputs_estar, 1.0) == pytest.approx(0.0, abs=1e-9)
+    table = curve_table(inputs_estar, [1.0])
+    assert table["sleeping"][0] == pytest.approx(mean, abs=1e-15)
+    assert table["living"][0] == pytest.approx(mean, abs=1e-15)
+    assert table["active"][0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_active_curve_vanishes_at_fixed_point(inputs_estar):
     pred = giant_prediction(inputs_estar)
     t_star = -math.log(pred.eta_l)
     assert t_star == pytest.approx(2.7481, abs=1e-4)
-    assert abs(active_halfedge_curve(inputs_estar, math.exp(-t_star))) < 1e-8
+    assert abs(curve_table(inputs_estar, [math.exp(-t_star)])["active"][0]) < 1e-8
 
 
 def test_living_curve_closed_form(inputs_estar):
     # the tilted group-size law is a point mass at 2, so the inverse is a root
-    assert living_halfedge_curve(inputs_estar, 0.5) == pytest.approx(
-        2 * 0.5 * math.sqrt(0.5), abs=1e-9
+    assert curve_table(inputs_estar, 0.5)["living"] == pytest.approx(
+        2 * 0.5 * math.sqrt(0.5), abs=1e-15
     )
     with pytest.raises(OutOfDomain):
-        living_halfedge_curve(inputs_estar, -0.1)
+        curve_table(inputs_estar, -0.1)
 
 
 def test_active_curve_sign_pattern(inputs_estar):
     pred = giant_prediction(inputs_estar)
     t_star = -math.log(pred.eta_l)
     ts = np.linspace(1e-4, t_star - 1e-4, 1000)
-    vals = [active_halfedge_curve(inputs_estar, math.exp(-t)) for t in ts]
-    assert all(v > 0 for v in vals)
-    just_after = active_halfedge_curve(inputs_estar, math.exp(-(t_star + 1e-3)))
+    assert (curve_table(inputs_estar, np.exp(-ts))["active"] > 0).all()
+    just_after = curve_table(inputs_estar, math.exp(-(t_star + 1e-3)))["active"]
     assert just_after < 0
 
 
@@ -272,30 +271,60 @@ def test_curve_domain_guard():
     # q1 > 0 caps the domain at q1 / E[Dr]
     q0 = inputs.q_tilde.prob(0)
     assert q0 > 0
-    with pytest.raises(OutOfDomain):
-        living_halfedge_curve(inputs, q0 / 2)
-    assert living_halfedge_curve(inputs, q0) >= 0.0
+    for z in (q0 / 2, 1.5, math.nan, [0.5, math.nan]):
+        with pytest.raises(OutOfDomain):
+            curve_table(inputs, z)
+    assert curve_table(inputs, q0)["living"] >= 0.0
 
 
 def test_hitting_time_curve_values(inputs_estar):
-    assert hitting_time_curve(inputs_estar, 1.0) == pytest.approx(0.0, abs=1e-9)
+    assert hitting_time_curve(inputs_estar, 1.0) == 0.0
     assert hitting_time_curve(inputs_estar, 0.5) == pytest.approx(
-        (2.0 / 3.0) * math.log(2.0), abs=1e-9
+        (2.0 / 3.0) * math.log(2.0), abs=1e-15
     )
-    with pytest.raises(OutOfDomain):
-        hitting_time_curve(inputs_estar, 0.0)
+    assert hitting_time_curve(inputs_estar, [0.5, 1.0]).shape == (2,)
+    for c in (0.0, -0.5, 1.5, math.nan, [0.5, math.nan]):
+        with pytest.raises(OutOfDomain):
+            hitting_time_curve(inputs_estar, c)
 
 
-def test_curve_table_consistency(inputs_estar):
-    z = np.linspace(0.05, 1.0, 50)
-    table = curve_table(inputs_estar, z)
-    for i, zi in enumerate(z):
-        assert table["living"][i] == pytest.approx(
-            living_halfedge_curve(inputs_estar, float(zi)), abs=1e-9
-        )
-        assert table["active"][i] == pytest.approx(
-            active_halfedge_curve(inputs_estar, float(zi)), abs=1e-9
-        )
+def test_triangle_curves_closed_form(inputs_estar):
+    # triangles: q* and q~ are point masses at 3 and 2, so
+    # tau(c) = -(2/3) log c and living(z) = E[L] z^(3/2)
+    c = np.linspace(0.01, 1.0, 500)
+    assert np.abs(hitting_time_curve(inputs_estar, c) + (2.0 / 3.0) * np.log(c)).max() <= 1e-15
+    z = np.linspace(0.0, 1.0, 501)
+    living = curve_table(inputs_estar, z)["living"]
+    assert np.abs(living - inputs_estar.p.mean() * z**1.5).max() <= 1e-15
+
+
+MIXED_CATALOG = [
+    (complete_graph(2), "0.3"),
+    (complete_graph(3), "0.2"),
+    (path_graph(4), "0.15"),
+    (cycle_graph(4), "0.1"),
+    (complete_graph(4), "0.1"),
+    (complete_graph(5), "0.1"),
+    (cycle_graph(8), "0.05"),
+]
+
+
+def test_mixed_inverse_matches_exact_bisection():
+    # seven shapes of sizes 2..8: G_q*^(-1) has no closed form and is bisected;
+    # the oracle size-biases the exact decimal weights and bisects in rationals
+    inputs = make_inputs({1: 0.5, 3: 0.5}, [(g, float(w)) for g, w in MIXED_CATALOG])
+    q = {}
+    for g, w in MIXED_CATALOG:
+        q[g.n] = q.get(g.n, 0) + Fraction(w)
+    mean = sum(k * w for k, w in q.items())
+    q_star = {k: k * w / mean for k, w in q.items()}
+    c = np.linspace(0.05, 1.0, 20)
+    z = inputs.q.size_bias().gf_inverse_many(c)
+    tau = hitting_time_curve(inputs, c)
+    for ci, zi, ti in zip(c.tolist(), z.tolist(), tau.tolist()):
+        exact = float(exact_pgf_inverse(q_star, Fraction(ci)))
+        assert zi == pytest.approx(exact, abs=1e-15)
+        assert ti == pytest.approx(-math.log(ci) + math.log(exact), abs=1e-15)
 
 
 def test_bp_survival_degenerate(k1):
