@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components as _cc
 
 from .model import BcmGraph, ModelParams, RigcGraph
 
@@ -20,18 +18,52 @@ _DENSE_CODES_PER_VERTEX = 4
 
 
 def _labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    if len(u) == 0:
-        return np.arange(n, dtype=np.int64)
-    data = np.ones(len(u), dtype=np.int8)
-    m = coo_matrix((data, (u, v)), shape=(n, n))
-    _, labels = _cc(m, directed=False)
-    return labels.astype(np.int64)
+    """Component number per vertex of the graph on ``n`` vertices with edges
+    ``(u[i], v[i])``; components are numbered in order of their lowest vertex.
+
+    Hook-and-jump rounds (Shiloach & Vishkin, J. Algorithms 3, 57 (1982)):
+    every edge between two roots hooks the larger root under the smaller,
+    the roots that moved jump to their new roots, and the edges whose ends
+    now share a root drop out (self-loops before the first round).  A pointer
+    only ever moves down, so each root is the lowest vertex of its tree, and
+    numbering roots by rank numbers components by their lowest vertex.
+    """
+    parent = np.arange(n, dtype=np.int64)
+    roots = parent.copy()
+    live = u != v
+    u = u[live]
+    v = v[live]
+    while len(u):
+        lo = np.minimum(u, v)
+        hi = np.maximum(u, v)
+        np.minimum.at(parent, hi, lo)
+        hooked = parent[roots] != roots
+        moved = roots[hooked]
+        roots = roots[~hooked]
+        while True:
+            up = parent[moved]
+            up_up = parent[up]
+            if np.array_equal(up, up_up):
+                break
+            parent[moved] = up_up
+        # lo and hi were roots, so these are the ends' new roots
+        u = parent[lo]
+        v = parent[hi]
+        live = u != v
+        u = u[live]
+        v = v[live]
+    # a vertex hooked in an early round still points at that round's root
+    while True:
+        up = parent[parent]
+        if np.array_equal(up, parent):
+            break
+        parent = up
+    return (np.cumsum(parent == np.arange(n)) - 1)[parent]
 
 
 def rigc_components(graph: RigcGraph) -> np.ndarray:
     """Component label per vertex; self-loops ignored, multi-edges counted once."""
-    keep = graph.edge_u != graph.edge_v
-    return _labels(graph.n_vertices, graph.edge_u[keep], graph.edge_v[keep])
+    return _labels(graph.n_vertices, graph.edge_u, graph.edge_v)
 
 
 def _first_holders(bcm: BcmGraph) -> np.ndarray:
@@ -56,9 +88,10 @@ def bcm_components(bcm: BcmGraph) -> np.ndarray:
 def _largest_label(sizes: np.ndarray) -> int:
     """Label of the largest component; ties go to the lowest vertex id.
 
-    ``_labels`` numbers components in order of their lowest vertex (scipy's
-    ``connected_components`` labels them as it meets them in vertex order),
-    so the tied component holding the lowest vertex is the first maximum.
+    ``_labels`` numbers components in order of their lowest vertex (each
+    of its roots is the lowest vertex of its tree, and roots are numbered by
+    rank), so the tied component holding the lowest vertex is the first
+    maximum.
     """
     return int(np.argmax(sizes))
 

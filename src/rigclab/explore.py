@@ -402,7 +402,7 @@ def hitting_times(traj: Trajectory, c_grid) -> np.ndarray:
     c = np.asarray(list(c_grid), dtype=float)
     if c.size == 0:
         raise EmptyGrid("need at least one c value")
-    if c.min() <= 0.0 or c.max() > 1.0:
+    if not (c.min() > 0.0 and c.max() <= 1.0):
         raise OutOfDomain("c values must lie in (0, 1]")
     # living is non-increasing over events
     idx = np.searchsorted(-traj.living, -c * traj.h, side="left")

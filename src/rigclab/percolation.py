@@ -246,9 +246,11 @@ def harris_sweep(
     current components, whose sizes and kept-unit counts (self-loops
     included) are folded along the merge.  A point costs its entered units
     plus one pass over the current components, so dense grids are cheap.
-    Components stay numbered by their lowest vertex, so the giant is the
-    first largest component, and ties go to the lowest vertex id as in
-    ``giant_stats_rigc``.  ``joint_in_giant`` is left empty.
+    ``components._labels`` numbers the merged components in order of their
+    lowest old component, so components stay numbered by their lowest vertex
+    from point to point: the giant is the first largest component, and ties
+    go to the lowest vertex id as in ``giant_stats_rigc``.  ``joint_in_giant``
+    is left empty.
     """
     grid = list(pi_grid)
     if any(not 0.0 <= x <= 1.0 for x in grid):
@@ -265,9 +267,7 @@ def harris_sweep(
     units_v = units_v[order]
 
     # per vertex its component; per component its size and kept units (floats
-    # hold these counts exactly, as np.bincount's weights need).  ``_labels``
-    # numbers merged components by their lowest old component, so components
-    # stay numbered by their lowest vertex from point to point.
+    # hold these counts exactly, as np.bincount's weights need)
     label = np.arange(n)
     sizes = np.ones(n)
     kept = np.zeros(n)

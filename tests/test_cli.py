@@ -257,6 +257,30 @@ def test_hostile_config_ends(tmp_path, mode, change, code):
         )
 
 
+def test_modes_run_without_scipy(tmp_path):
+    """numpy is the only runtime dependency: with scipy unimportable every
+    mode still runs, and importing the CLI loads no scipy module."""
+    env = {**os.environ, "PYTHONPATH": str(Path(rigclab.__file__).parents[1])}
+    blocked = 'import sys; sys.modules["scipy"] = None; from rigclab.cli import main; main()'
+    extra = {"sweep": {"pi_grid": [0.0, 0.5, 1.0]}, "percolate": {"pi": 0.5}, "explore": {"t0": 1.5}}
+    for mode in ("giant", "sweep", "percolate", "pi-c", "explore", "theory", "generate"):
+        path = write_config(
+            tmp_path, f"{mode}.json", inputs=ESTAR_INPUTS, target_n=200, replicas=1, seed=5,
+            out_dir=str(tmp_path / mode), **extra.get(mode, {}),
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", blocked, mode, "--config", str(path)],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode == 0, (mode, done.stderr)
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, rigclab.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert loaded.stdout == "[]\n", loaded.stderr
+
+
 def test_integral_float_accepted_as_integer(tmp_path):
     # JSON writes 1e5 as a float; an integral float is the integer it names
     outs = []

@@ -23,11 +23,78 @@ from rigclab import (
     rigc_components,
     sample_params,
 )
+from rigclab.components import _labels
 from conftest import philox
 
 
 def labels_agree(labels, i, j):
     return labels[i] == labels[j]
+
+
+def labels_oracle(n, u, v):
+    """Component number per vertex from a plain union-find whose root is
+    always the lowest vertex of its component, roots numbered by rank."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in zip(u.tolist(), v.tolist()):
+        ra, rb = find(a), find(b)
+        parent[max(ra, rb)] = min(ra, rb)
+    number = {}
+    return np.array([number.setdefault(find(x), len(number)) for x in range(n)], dtype=np.int64)
+
+
+def check_labels(n, u, v):
+    u_before, v_before = u.copy(), v.copy()
+    got = _labels(n, u, v)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, labels_oracle(n, u, v))
+    # the edge arrays are the caller's: left as they were
+    np.testing.assert_array_equal(u, u_before)
+    np.testing.assert_array_equal(v, v_before)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_labels_match_union_find_oracle_random_multigraph(seed):
+    rng = philox(seed)
+    n = int(rng.integers(1, 60))
+    # endpoints from a subset, so that some vertices stay isolated
+    ends = rng.choice(n, size=max(1, n * 2 // 3), replace=False)
+    m = int(rng.integers(0, 2 * n + 1))
+    u = rng.choice(ends, size=m)
+    v = rng.choice(ends, size=m)
+    loops = rng.choice(ends, size=int(rng.integers(0, 4)))
+    repeat = rng.integers(0, max(m, 1), size=m // 3)
+    u = np.concatenate([u, loops, u[repeat], v[repeat]])
+    v = np.concatenate([v, loops, v[repeat], u[repeat]])
+    order = rng.permutation(len(u))
+    check_labels(n, u[order], v[order])
+
+
+@pytest.mark.parametrize(
+    "n,u,v",
+    [
+        (5, [], []),
+        (1, [], []),
+        (1, [0, 0], [0, 0]),
+        (4, [3, 3, 2], [3, 2, 1]),
+    ],
+    ids=["no-edges", "one-vertex", "one-vertex-self-loops", "descending-chain"],
+)
+def test_labels_match_union_find_oracle_small(n, u, v):
+    check_labels(n, np.array(u, dtype=np.int64), np.array(v, dtype=np.int64))
+
+
+def test_labels_deep_chain_random_path():
+    # a randomly labeled path: long hook chains for the pointer jumping
+    n = 100_000
+    path = philox(41).permutation(n)
+    check_labels(n, path[:-1], path[1:])
 
 
 def test_triangle_instance(k3):

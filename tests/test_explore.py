@@ -259,6 +259,14 @@ def test_hitting_times_basics(p_estar, cat_estar, inputs_estar):
         hitting_times(traj, [0.0])
 
 
+@pytest.mark.parametrize("c", [math.nan, -math.inf, math.inf, 1.5])
+def test_hitting_times_refuse_grid_outside_unit_interval(k2, c):
+    params = build_params([1] * 10, [k2] * 5)
+    traj = run_exploration(params, philox(20))
+    with pytest.raises(OutOfDomain):
+        hitting_times(traj, [0.5, c])
+
+
 def test_hitting_times_concentrate(p_estar, cat_estar, inputs_estar):
     params = sample_params(p_estar, cat_estar, 100_000, philox(20))
     traj = run_exploration(params, philox(21))
