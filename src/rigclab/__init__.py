@@ -30,6 +30,7 @@ from .components import (
     bcm_components,
     giant_stats_bcm,
     giant_stats_rigc,
+    giant_stats_rigc_from_bcm,
     rigc_components,
 )
 from .explore import (

@@ -34,7 +34,12 @@ from .community import (
     cycle_graph,
     path_graph,
 )
-from .components import giant_stats_bcm, giant_stats_rigc, rigc_components
+from .components import (
+    bcm_components,
+    giant_stats_bcm,
+    giant_stats_rigc,
+    giant_stats_rigc_from_bcm,
+)
 from .errors import ConfigError, KeyMismatch, LabError, OutOfDomain
 from .model import (
     build_params,
@@ -47,6 +52,9 @@ from .model import (
 from .pmf import Pmf
 
 SCHEMA_VERSION = 1
+#: every replica's rows are held until the last replica ends, so the count is
+#: bounded: a run of more replicas could not finish in memory or in time
+MAX_REPLICAS = 100_000
 
 MODES = ("theory", "generate", "giant", "percolate", "pi-c", "explore", "sweep", "compare")
 SAMPLING_MODES = ("generate", "giant", "percolate", "explore", "sweep")
@@ -86,6 +94,12 @@ def _float(value, path: str) -> float:
         return float(value)
     except (TypeError, ValueError):
         _fail(path, f"expected a number, got {value!r}")
+
+
+def _path(value, path: str) -> str:
+    if not isinstance(value, str) or not value:
+        _fail(path, f"expected a nonempty path string, got {value!r}")
+    return value
 
 
 def _check_numbers(values, path: str, within, bounds: str) -> None:
@@ -149,6 +163,8 @@ class Experiment:
             _fail("schema_version", f"unsupported version {version}")
 
         inputs = cfg.get("inputs", {})
+        if not isinstance(inputs, dict):
+            _fail("inputs", f"expected an object, got {inputs!r}")
         self.l_pmf = _parse_pmf(inputs["l_pmf"], "inputs.l_pmf") if "l_pmf" in inputs else None
         self.l_degrees = inputs.get("l_degrees")
         if self.l_degrees is not None:
@@ -190,8 +206,8 @@ class Experiment:
             if self.seed < 0:
                 _fail("seed", "must be >= 0")
         self.replicas = _int(cfg.get("replicas", 1), "replicas")
-        if self.replicas < 1:
-            _fail("replicas", "must be >= 1")
+        if not 1 <= self.replicas <= MAX_REPLICAS:
+            _fail("replicas", f"must lie in [1, {MAX_REPLICAS}]")
         self.target_n = cfg.get("target_n")
         if self.target_n is not None:
             self.target_n = _int(self.target_n, "target_n")
@@ -231,12 +247,18 @@ class Experiment:
         self.threads = _int(cfg.get("threads", 1), "threads")
         if self.threads < 1:
             _fail("threads", "must be >= 1")
-        self.out_dir = Path(cfg.get("out_dir", "out"))
-        self.tolerances = cfg.get("tolerances", {})
+        self.out_dir = Path(_path(cfg.get("out_dir", "out"), "out_dir"))
+        tolerances = cfg.get("tolerances", {})
+        if not isinstance(tolerances, dict):
+            _fail("tolerances", f"expected an object, got {tolerances!r}")
+        self.tolerances = {k: _float(v, f"tolerances.{k}") for k, v in tolerances.items()}
         self.theory_report = cfg.get("theory_report")
         self.empirical_csv = cfg.get("empirical_csv")
         if mode == "compare" and (self.theory_report is None or self.empirical_csv is None):
             _fail("theory_report", "compare mode needs theory_report and empirical_csv paths")
+        for field in ("theory_report", "empirical_csv"):
+            if getattr(self, field) is not None:
+                _path(getattr(self, field), field)
 
     # -- shared building blocks ---------------------------------------------
 
@@ -323,16 +345,18 @@ def _map_replicas(fn, replicas: range, threads: int) -> Iterator:
 
 
 def _sample(exp: Experiment, replica: int) -> tuple:
-    """One replica's (params, matching, projection) from its own streams."""
+    """One replica's (params, projection) from its own streams."""
     params = exp.params_for(replica)
     bcm = generate_bcm(params, stream(exp.seed, replica, ROLE_MATCH))
-    return params, bcm, project_rigc(bcm, params.communities)
+    return params, project_rigc(bcm, params.communities)
 
 
 def _job_giant(exp: Experiment, replica: int) -> dict:
-    params, bcm, rigc = _sample(exp, replica)
-    labels = rigc_components(rigc)
-    stats = giant_stats_rigc(rigc, params, labels)
+    # both giants read off one labelling of the matching; nothing is projected
+    params = exp.params_for(replica)
+    bcm = generate_bcm(params, stream(exp.seed, replica, ROLE_MATCH))
+    labels = bcm_components(bcm)
+    stats = giant_stats_rigc_from_bcm(bcm, params.communities, labels)
     bstats = giant_stats_bcm(bcm, labels)
     row = {
         "seed": exp.seed,
@@ -353,7 +377,7 @@ def _job_giant(exp: Experiment, replica: int) -> dict:
 
 def _job_percolate(exp: Experiment, replica: int) -> dict:
     pi = float(exp.pi)
-    params, _, rigc = _sample(exp, replica)
+    params, rigc = _sample(exp, replica)
     percolated = perc_mod.percolate_rigc_graph(rigc, pi, stream(exp.seed, replica, ROLE_PERC))
     stats_a = giant_stats_rigc(percolated)
 
@@ -374,7 +398,7 @@ def _job_percolate(exp: Experiment, replica: int) -> dict:
 
 
 def _job_sweep(exp: Experiment, replica: int) -> dict:
-    params, _, rigc = _sample(exp, replica)
+    params, rigc = _sample(exp, replica)
     sweep = perc_mod.harris_sweep(rigc, list(exp.pi_grid), stream(exp.seed, replica, ROLE_SWEEP))
     rows = [
         (pi, s.c1_fraction, s.c2_fraction, s.edges_in_giant_per_N, exp.seed, replica, params.n_l)
@@ -423,7 +447,7 @@ def _job_explore(exp: Experiment, replica: int) -> dict:
 
 
 def _job_generate(exp: Experiment, replica: int) -> dict:
-    params, _, rigc = _sample(exp, replica)
+    params, rigc = _sample(exp, replica)
     shape_objs = [g.to_json_obj() for g in params.communities.shapes]
     _write_csv(
         exp.out_dir / f"rigc_edges_r{replica}.csv",

@@ -37,6 +37,9 @@ ENUM_MAX_EDGES = 22
 #: the component-size census visits about 3^n / 2 vertex-set pairs: K12 took
 #: 0.24 s on a 2-CPU host, and each added vertex triples the work
 CENSUS_MAX_VERTICES = 12
+#: a community graph is built edge by edge in Python; this cap keeps a
+#: complete one under half a million edges
+COMMUNITY_MAX_VERTICES = 1000
 
 
 class CommunityGraph:
@@ -47,6 +50,10 @@ class CommunityGraph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
             raise OutOfDomain(f"need at least one vertex, got n={n}")
+        if n > COMMUNITY_MAX_VERTICES:
+            raise TooManyVertices(
+                f"community graphs are capped at {COMMUNITY_MAX_VERTICES} vertices, got n={n}"
+            )
         norm = set()
         for u, v in edges:
             if u == v:
@@ -113,18 +120,20 @@ def as_int(value) -> int:
     return int(value)
 
 
+# the named graphs generate their edges lazily, so the vertex cap is checked
+# before any edge is built
 def complete_graph(n: int) -> CommunityGraph:
-    return CommunityGraph(n, itertools.combinations(range(1, n + 1), 2))
+    return CommunityGraph(n, ((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)))
 
 
 def path_graph(n: int) -> CommunityGraph:
-    return CommunityGraph(n, [(i, i + 1) for i in range(1, n)])
+    return CommunityGraph(n, ((i, i + 1) for i in range(1, n)))
 
 
 def cycle_graph(n: int) -> CommunityGraph:
     if n < 3:
         raise OutOfDomain("cycles need at least 3 vertices")
-    return CommunityGraph(n, [(i, i + 1) for i in range(1, n)] + [(1, n)])
+    return CommunityGraph(n, itertools.chain(((i, i + 1) for i in range(1, n)), [(1, n)]))
 
 
 class CommunityList(Sequence):

@@ -7,11 +7,13 @@ reproducible.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BcmGraph, ModelParams, RigcGraph
+from .community import CommunityGraph, CommunityList
+from .model import BcmGraph, ModelParams, RigcGraph, check_communities
 
 #: the joint law is counted in a dense table while its codes stay below this many per vertex
 _DENSE_CODES_PER_VERTEX = 4
@@ -140,55 +142,94 @@ class BcmGiantStats:
         }
 
 
-def giant_stats_rigc(
-    graph: RigcGraph, params: ModelParams | None = None, labels: np.ndarray | None = None
-) -> GiantStats:
+def _joint_law(ks: np.ndarray, ds: np.ndarray, n: int) -> dict[tuple[int, int], float]:
+    """(membership count, projected degree) -> count / n over the paired
+    values ``ks`` and ``ds``, in ascending key order."""
+    width = int(ds.max()) + 1
+    codes = ks * width + ds
+    if int(codes.max()) < _DENSE_CODES_PER_VERTEX * n:
+        counts = np.bincount(codes)
+        codes = np.flatnonzero(counts)
+        counts = counts[codes]
+    else:
+        # heavy-tailed degrees: a dense (k, d) table would outgrow the graph
+        codes, counts = np.unique(codes, return_counts=True)
+    k_of, d_of = np.divmod(codes, width)
+    return {(k, d): c / n for k, d, c in zip(k_of.tolist(), d_of.tolist(), counts.tolist())}
+
+
+def _giant_stats(n: int, sizes: np.ndarray, joint: dict, edges: int) -> GiantStats:
+    """``GiantStats`` of ``n`` vertices from their component sizes."""
+    return GiantStats(
+        n_vertices=n,
+        c1_fraction=int(sizes.max()) / n,
+        c2_fraction=_second_largest(sizes) / n,
+        joint_in_giant=joint,
+        edges_in_giant_per_N=float(edges) / n,
+    )
+
+
+def giant_stats_rigc(graph: RigcGraph, params: ModelParams | None = None) -> GiantStats:
     """Largest-component statistics of the projected graph.
 
     ``params`` only fills ``joint_in_giant``, which maps (membership count,
     projected degree) to the fraction of all vertices carrying those values
     inside the giant, in ascending key order; without ``params`` it stays
-    empty.  The CLI's ``giant`` mode requests it for ``joint.csv``; ``sweep``
-    and ``percolate`` report no joint law and do not.  ``labels`` is
-    ``rigc_components(graph)``, computed here when not given.
+    empty.  Only library callers ask for it: the CLI's ``giant`` mode reads
+    the same statistics off the matching (``giant_stats_rigc_from_bcm``), and
+    ``sweep`` and ``percolate`` report no joint law.
     """
-    if labels is None:
-        labels = rigc_components(graph)
-    n = graph.n_vertices
+    labels = rigc_components(graph)
     sizes = np.bincount(labels)
     giant = _largest_label(sizes)
-    c1 = int(sizes[giant])
-    c2 = _second_largest(sizes)
-
+    n = graph.n_vertices
     joint: dict[tuple[int, int], float] = {}
     if params is not None:
         mask = labels == giant
-        ks = np.asarray(params.l_degrees)[mask]
-        ds = graph.projected_degrees()[mask]
-        width = int(ds.max()) + 1
-        codes = ks * width + ds
-        if int(codes.max()) < _DENSE_CODES_PER_VERTEX * n:
-            counts = np.bincount(codes)
-            codes = np.flatnonzero(counts)
-            counts = counts[codes]
-        else:
-            # heavy-tailed degrees: a dense (k, d) table would outgrow the graph
-            codes, counts = np.unique(codes, return_counts=True)
-        k_of, d_of = np.divmod(codes, width)
-        joint = {
-            (k, d): c / n
-            for k, d, c in zip(k_of.tolist(), d_of.tolist(), counts.tolist())
-        }
-
+        joint = _joint_law(np.asarray(params.l_degrees)[mask], graph.projected_degrees()[mask], n)
     in_giant = labels[graph.edge_u] == giant
-    edges = float(graph.edge_mult[in_giant].sum())
-    return GiantStats(
-        n_vertices=n,
-        c1_fraction=c1 / n,
-        c2_fraction=c2 / n,
-        joint_in_giant=joint,
-        edges_in_giant_per_N=edges / n,
-    )
+    return _giant_stats(n, sizes, joint, int(graph.edge_mult[in_giant].sum()))
+
+
+def giant_stats_rigc_from_bcm(
+    bcm: BcmGraph, communities: Sequence[CommunityGraph], labels: np.ndarray
+) -> GiantStats:
+    """The projected graph's statistics, read off the matching unprojected.
+
+    Equals ``giant_stats_rigc(project_rigc(bcm, communities), params)``
+    field for field, joint law included, where ``params`` holds
+    ``bcm.l_degrees`` and ``communities``.  ``labels`` is
+    ``bcm_components(bcm)``; only its first ``n_l`` entries, the
+    individuals', are read, so the projection's own labels serve as well
+    (see ``giant_stats_bcm``).  An individual's projected degree is the sum
+    of its roles' degrees inside their community graphs (holding both ends
+    of a community edge adds 2, as a self-loop does), and the giant's
+    projected edges are the community edges of the groups whose first
+    holder is in it.
+    """
+    communities = CommunityList.of(communities)
+    check_communities(bcm, communities)
+    n = bcm.n_l
+    labels = labels[:n]
+    sizes = np.bincount(labels)
+    giant = _largest_label(sizes)
+    group_in_giant = labels[_first_holders(bcm)] == giant
+    holder = bcm.holder
+    degrees = np.zeros(n, dtype=np.int64)
+    edges = 0
+    for t, members in communities.groups_by_shape():
+        g = communities.shapes[t]
+        if not g.edges:
+            continue
+        edges += g.edge_count * int(np.count_nonzero(group_in_giant[members]))
+        bases = bcm.r_offsets[members]
+        for j, deg in enumerate(g.degrees()):
+            # one role at a time: no temporary of one entry per half-edge
+            held = np.bincount(holder[bases + j], minlength=n)
+            held *= deg
+            degrees += held
+    mask = labels == giant
+    return _giant_stats(n, sizes, _joint_law(bcm.l_degrees[mask], degrees[mask], n), edges)
 
 
 def _fraction_law(values: np.ndarray, total: int) -> dict[int, float]:
@@ -201,16 +242,17 @@ def _fraction_law(values: np.ndarray, total: int) -> dict[int, float]:
 def giant_stats_bcm(bcm: BcmGraph, labels: np.ndarray) -> BcmGiantStats:
     """Largest-component statistics of the bipartite graph (ranked by total size).
 
-    ``labels`` must be ``rigc_components(project_rigc(bcm, communities))``
-    for the communities ``bcm`` was drawn for.  Community graphs are
+    ``labels`` is ``bcm_components(bcm)``, of which only the first ``n_l``
+    entries, the individuals' labels, are read.  The projection's labels,
+    ``rigc_components(project_rigc(bcm, communities))`` for the communities
+    ``bcm`` was drawn for, are the same array: community graphs are
     connected, so two individuals share a bipartite component exactly when
-    they share a projected one, and each group sits in the component of its
-    members; both labelings number components by their lowest vertex, which
-    is always an individual.  The projection's labels are therefore the
-    bipartite labels of the individuals, and a group's label is its first
-    holder's.
+    they share a projected one, and both labelings number components by
+    their lowest vertex, which is always an individual.  A group's label is
+    its first holder's.
     """
     n, m = bcm.n_l, bcm.n_r
+    labels = labels[:n]
     r_labels = labels[_first_holders(bcm)]
     sizes = np.bincount(labels)
     sizes += np.bincount(r_labels, minlength=len(sizes))

@@ -269,6 +269,12 @@ def empty_rigc(n: int) -> RigcGraph:
     return RigcGraph(n_vertices=n, edge_u=z, edge_v=z, edge_mult=z.copy())
 
 
+def check_communities(bcm: BcmGraph, communities: CommunityList) -> None:
+    """Raise unless ``communities`` has one graph per group of ``bcm``, of its size."""
+    if len(communities) != bcm.n_r or not np.array_equal(communities.sizes(), bcm.r_degrees):
+        raise InconsistentMatching("communities do not match the r-degree sequence")
+
+
 def project_rigc(bcm: BcmGraph, communities: Sequence[CommunityGraph]) -> RigcGraph:
     """Copy every community edge onto the individuals holding its endpoint roles.
 
@@ -277,8 +283,7 @@ def project_rigc(bcm: BcmGraph, communities: Sequence[CommunityGraph]) -> RigcGr
     array gathers per distinct shape.
     """
     communities = CommunityList.of(communities)
-    if len(communities) != bcm.n_r or not np.array_equal(communities.sizes(), bcm.r_degrees):
-        raise InconsistentMatching("communities do not match the r-degree sequence")
+    check_communities(bcm, communities)
     chunks_u: list[np.ndarray] = []
     chunks_v: list[np.ndarray] = []
     for t, members in communities.groups_by_shape():

@@ -176,9 +176,10 @@ class Pmf:
         return math.fsum(w * z**v for v, w in zip(self._values, self._weights))
 
     def gf_eval_many(self, z: np.ndarray) -> np.ndarray:
-        """Vectorized ``gf_eval`` over an array of points in [0, 1]."""
+        """Vectorized ``gf_eval`` over an array of points in [0, 1]; NaN
+        raises like any other value outside."""
         z = np.asarray(z, dtype=float)
-        if z.size and (z.min() < 0.0 or z.max() > 1.0):
+        if z.size and not (z.min() >= 0.0 and z.max() <= 1.0):
             raise OutOfDomain("z values outside [0, 1]")
         out = np.zeros_like(z)
         for v, w in zip(self._values, self._weights):

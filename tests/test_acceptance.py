@@ -71,10 +71,10 @@ def giant_runs(estar):
     for rep in range(REPLICAS):
         params = rl.sample_params(p, catalog, N_BIG, philox(101, rep, 0))
         bcm = rl.generate_bcm(params, philox(101, rep, 1))
-        rigc = rl.project_rigc(bcm, params.communities)
-        labels = rl.rigc_components(rigc)
+        labels = rl.bcm_components(bcm)
         runs.append(
-            (rl.giant_stats_rigc(rigc, params, labels), rl.giant_stats_bcm(bcm, labels))
+            (rl.giant_stats_rigc_from_bcm(bcm, params.communities, labels),
+             rl.giant_stats_bcm(bcm, labels))
         )
     elapsed = time.perf_counter() - started
     return runs, elapsed

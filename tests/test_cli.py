@@ -160,6 +160,35 @@ VALID_SAMPLED = dict(inputs={"l_pmf": {"1": 0.5, "3": 0.5}, "catalog": K3_CATALO
         pytest.param("giant", {"seed": 7.5}, "seed", id="seed-fractional"),
         pytest.param("giant", {"target_n": 100.5}, "target_n", id="target-n-fractional"),
         pytest.param("giant", {"threads": 1.5}, "threads", id="threads-fractional"),
+        pytest.param("giant", {"replicas": 2e12}, "replicas", id="replicas-above-cap"),
+        pytest.param("giant", {"inputs": []}, "inputs", id="inputs-not-object"),
+        pytest.param(
+            "giant",
+            {"inputs": {"l_pmf": {"1": 1.0},
+                        "catalog": [{"graph": {"complete": 3e12}, "weight": 1.0}]}},
+            "inputs.catalog[0].graph", id="catalog-graph-above-cap",
+        ),
+        pytest.param(
+            "giant",
+            {"inputs": {"l_pmf": {"1": 1.0},
+                        "catalog": [{"graph": {"path": 1001}, "weight": 1.0}]}},
+            "inputs.catalog[0].graph", id="catalog-path-above-cap",
+        ),
+        pytest.param(
+            "compare", {"theory_report": 5, "empirical_csv": "giant.csv"},
+            "theory_report", id="compare-path-not-string",
+        ),
+        pytest.param(
+            "compare",
+            {"theory_report": "t.json", "empirical_csv": "g.csv", "tolerances": [0.1]},
+            "tolerances", id="compare-tolerances-not-object",
+        ),
+        pytest.param(
+            "compare",
+            {"theory_report": "t.json", "empirical_csv": "g.csv",
+             "tolerances": {"c1_fraction": "tight"}},
+            "tolerances.c1_fraction", id="compare-tolerance-not-number",
+        ),
         pytest.param("giant", {"threads": 0}, "threads", id="threads-zero"),
         pytest.param("giant", {"threads": -3}, "threads", id="threads-negative"),
         pytest.param("theory", {"d_max": 2.5}, "d_max", id="d-max-fractional"),
@@ -207,6 +236,12 @@ def test_malformed_config_exit_2(tmp_path, capsys, mode, change, path):
     assert err.startswith(f"config error: {path}:")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_out_dir_not_string_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", out_dir=3, **VALID_SAMPLED)
+    assert run(cfg, mode="giant") == 2
+    assert capsys.readouterr().err.startswith("config error: out_dir:")
 
 
 def run_cli_subprocess(tmp_path, mode, timeout, **cfg):
@@ -827,3 +862,25 @@ def test_main_entry_point(tmp_path):
         main(["giant", "--config", str(cfg), "--seed", "3", "--replicas", "1"])
     # config lacks target_n for sampling: reported as a config error
     assert exc.value.code == 2
+
+
+def test_giant_never_projects(tmp_path, monkeypatch):
+    """``giant`` reads both giants off the matching: with the projection and
+    its labeller made to raise, it writes the same files."""
+    from rigclab import components, model
+
+    cfg = write_config(tmp_path, "cfg.json", **{**VALID_SAMPLED, "target_n": 3000, "replicas": 2})
+    assert run(cfg, mode="giant", overrides={"out_dir": str(tmp_path / "plain")}) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("giant mode must not project")
+
+    for module in (cli, components, model):
+        for name in ("project_rigc", "rigc_components", "giant_stats_rigc"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert run(cfg, mode="giant", overrides={"out_dir": str(tmp_path / "guarded")}) == 0
+    for name in ("giant.csv", "joint.csv"):
+        plain = (tmp_path / "plain" / name).read_bytes()
+        assert len(plain.splitlines()) > 2
+        assert (tmp_path / "guarded" / name).read_bytes() == plain

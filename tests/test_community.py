@@ -403,3 +403,28 @@ def test_size_census_matches_gilbert_recursion(n):
 def test_size_census_vertex_cap():
     with pytest.raises(TooManyVertices):
         size_census(CommunityGraph(13, path_edges(13)))
+
+
+def test_community_vertex_cap_refuses_before_building_edges():
+    from rigclab.community import COMMUNITY_MAX_VERTICES
+
+    cap = COMMUNITY_MAX_VERTICES
+    assert path_graph(cap).edge_count == cap - 1
+    assert cycle_graph(cap).edge_count == cap
+    for make in (complete_graph, path_graph, cycle_graph):
+        with pytest.raises(TooManyVertices):
+            make(cap + 1)
+
+    def no_edge_read():
+        raise AssertionError("an edge was read before the vertex cap was checked")
+        yield
+
+    # the edges of 3e12 vertices would exhaust memory if any were built first
+    with pytest.raises(TooManyVertices):
+        CommunityGraph(3 * 10**12, no_edge_read())
+
+
+def test_named_graph_edges():
+    assert complete_graph(4).edges == tuple(itertools.combinations(range(1, 5), 2))
+    assert path_graph(4).edges == ((1, 2), (2, 3), (3, 4))
+    assert cycle_graph(4).edges == ((1, 2), (1, 4), (2, 3), (3, 4))

@@ -10,13 +10,16 @@ from rigclab import (
     CommunityCatalog,
     CommunityGraph,
     Pmf,
+    TheoryInputs,
     bcm_components,
     build_params,
     complete_graph,
     cycle_graph,
     generate_bcm,
+    giant_prediction,
     giant_stats_bcm,
     giant_stats_rigc,
+    giant_stats_rigc_from_bcm,
     harris_sweep,
     path_graph,
     project_rigc,
@@ -374,6 +377,8 @@ def check_bcm_against_oracle(bcm, communities):
     expected = bcm_oracle(*args)
     assert bcm_components(bcm).tolist() == expected
     stats = giant_stats_bcm(bcm, rigc_components(project_rigc(bcm, communities)))
+    # the bipartite labels of both sides read the same as the projection's
+    assert giant_stats_bcm(bcm, bcm_components(bcm)) == stats
     want = bcm_stats_oracle(*args, expected)
     assert dataclasses.asdict(stats) == want
     assert list(stats.lhs_degk) == list(want["lhs_degk"])
@@ -455,3 +460,142 @@ def test_bcm_giant_differs_from_projected_giant():
     assert stats.edges_per_N == 6 / 10
     assert stats.lhs_degk == {3: 2 / 10}
     assert stats.rhs_degk == {1: 4 / 11, 2: 1 / 11}
+
+
+# -- the projected giant read off the matching ----------------------------------
+
+
+def check_rigc_from_bcm(bcm, params):
+    """``giant_stats_rigc_from_bcm`` equals the projection's statistics
+    exactly, joint law and its key order included, and reads the same from
+    the projection's labels as from the matching's."""
+    want = giant_stats_rigc(project_rigc(bcm, params.communities), params)
+    got = giant_stats_rigc_from_bcm(bcm, params.communities, bcm_components(bcm))
+    assert got == want
+    assert list(got.joint_in_giant) == list(want.joint_in_giant)
+    projected = rigc_components(project_rigc(bcm, params.communities))
+    assert giant_stats_rigc_from_bcm(bcm, params.communities, projected) == want
+    return want
+
+
+def rigc_oracle(l_degrees, communities, matching):
+    """``GiantStats`` fields of the projection by plain Python: every
+    community edge copied onto the individuals holding its roles, a
+    union-find over individuals, the giant the largest component with ties
+    to the lowest vertex."""
+    n = len(l_degrees)
+    l_of = [v for v, k in enumerate(l_degrees) for _ in range(k)]
+    holder = [None] * len(matching)
+    for p, q in enumerate(matching):
+        holder[q] = l_of[p]
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    degree = [0] * n
+    edges = []
+    base = 0
+    for g in communities:
+        for a, b in g.edges:
+            u, v = holder[base + a - 1], holder[base + b - 1]
+            degree[u] += 1
+            degree[v] += 1
+            edges.append(u)
+            parent[find(u)] = find(v)
+        base += g.n
+    members = {}
+    for v in range(n):
+        members.setdefault(find(v), []).append(v)
+    comps = sorted(members.values(), key=lambda vs: (-len(vs), vs[0]))
+    giant = set(comps[0])
+    joint = Counter((l_degrees[v], degree[v]) for v in giant)
+    return {
+        "n_vertices": n,
+        "c1_fraction": len(comps[0]) / n,
+        "c2_fraction": (len(comps[1]) if len(comps) > 1 else 0) / n,
+        "joint_in_giant": {key: joint[key] / n for key in sorted(joint)},
+        "edges_in_giant_per_N": sum(1 for u in edges if u in giant) / n,
+    }
+
+
+@pytest.mark.parametrize(
+    "l_degrees,communities",
+    MICRO_INSTANCES
+    + [
+        ([2, 1, 1], [complete_graph(3), CommunityGraph(1, [])]),
+        ([1, 1], [CommunityGraph(1, []), CommunityGraph(1, [])]),
+    ],
+)
+def test_rigc_from_bcm_matches_python_oracle_exhaustive(l_degrees, communities):
+    """Every matching of every micro instance, self-loops and singleton groups included."""
+    params = build_params(l_degrees, communities)
+    for perm in itertools.permutations(range(params.half_edges)):
+        bcm = BcmGraph(
+            l_degrees=params.l_degrees,
+            r_degrees=params.r_degrees(),
+            matching=np.array(perm, dtype=np.int64),
+        )
+        stats = check_rigc_from_bcm(bcm, params)
+        assert dataclasses.asdict(stats) == rigc_oracle(l_degrees, communities, list(perm))
+
+
+K1 = CommunityGraph(1, [])
+MIXED_WITH_K1 = CommunityCatalog(
+    [(K1, 0.3), (complete_graph(2), 0.2), (path_graph(3), 0.15),
+     (complete_graph(3), 0.15), (cycle_graph(4), 0.1),
+     (CommunityGraph(4, [(1, 2), (1, 3), (1, 4)]), 0.1)]
+)
+
+
+SAMPLED_CASES = {
+    "triangles": (Pmf({1: 0.5, 3: 0.5}), CommunityCatalog([(complete_graph(3), 1.0)]), 3000),
+    "mixed-with-k1": (Pmf({1: 0.6, 2: 0.25, 3: 0.15}), MIXED_WITH_K1, 2000),
+    # few individuals with many roles: loops and repeated pairs
+    "degrees-4-8-k2-k3": (
+        Pmf({4: 0.5, 8: 0.5}),
+        CommunityCatalog([(complete_graph(2), 0.5), (complete_graph(3), 0.5)]),
+        60,
+    ),
+    "subcritical": (Pmf({1: 0.9, 2: 0.1}), CommunityCatalog([(complete_graph(2), 1.0)]), 3000),
+    "all-k1": (Pmf({1: 0.5, 2: 0.5}), CommunityCatalog([(K1, 1.0)]), 500),
+}
+
+
+@pytest.mark.parametrize("case", SAMPLED_CASES)
+def test_rigc_from_bcm_equals_projection_sampled(case):
+    p, catalog, target_n = SAMPLED_CASES[case]
+    for seed in range(6):
+        params = sample_params(p, catalog, target_n, philox(seed, 0, 31))
+        bcm = generate_bcm(params, philox(seed, 0, 32))
+        stats = check_rigc_from_bcm(bcm, params)
+        rigc = project_rigc(bcm, params.communities)
+        if case == "degrees-4-8-k2-k3":
+            assert np.any(rigc.edge_u == rigc.edge_v)
+            assert np.any(rigc.edge_mult > 1)
+        elif case == "subcritical":
+            assert not giant_prediction(TheoryInputs.from_p_catalog(p, catalog)).supercritical
+            assert stats.c1_fraction < 0.05
+        elif case == "all-k1":
+            assert len(rigc.edge_u) == 0
+            assert stats.edges_in_giant_per_N == 0.0
+            assert stats.c1_fraction == 1 / params.n_l
+        elif case == "mixed-with-k1":
+            assert any(g.n == 1 for g in params.communities)
+
+
+def test_rigc_from_bcm_equals_projection_explicit():
+    """An explicit degree list and community list, as a config gives them,
+    over several matchings."""
+    l_degrees = [2, 1, 3, 1, 1, 2, 1, 2]
+    communities = [complete_graph(3), path_graph(3), K1, complete_graph(2),
+                   CommunityGraph(4, [(1, 2), (2, 3), (3, 4)])]
+    params = build_params(l_degrees, communities)
+    for seed in range(20):
+        bcm = generate_bcm(params, philox(seed, 0, 33))
+        stats = check_rigc_from_bcm(bcm, params)
+        assert dataclasses.asdict(stats) == rigc_oracle(
+            l_degrees, communities, bcm.matching.tolist()
+        )

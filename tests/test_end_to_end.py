@@ -45,9 +45,9 @@ def mixed_instance(mixed):
 
 def test_giant_matches_prediction(mixed, mixed_instance):
     _, _, inputs, pred = mixed
-    params, bcm, rigc = mixed_instance
-    labels = rl.rigc_components(rigc)
-    stats = rl.giant_stats_rigc(rigc, params, labels)
+    params, bcm, _ = mixed_instance
+    labels = rl.bcm_components(bcm)
+    stats = rl.giant_stats_rigc_from_bcm(bcm, params.communities, labels)
     bstats = rl.giant_stats_bcm(bcm, labels)
     assert stats.c1_fraction == pytest.approx(pred.xi_l, abs=0.02)
     assert stats.edges_in_giant_per_N == pytest.approx(

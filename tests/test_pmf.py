@@ -89,6 +89,19 @@ def test_gf_eval_values():
         p.gf_eval(1.5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_gf_eval_refuses_nan_and_infinities(bad):
+    """The vectorized PGF refuses what the scalar one refuses, NaN included,
+    alone or beside points inside [0, 1]."""
+    p = Pmf({0: 0.25, 2: 0.75})
+    with pytest.raises(OutOfDomain):
+        p.gf_eval(bad)
+    for z in ([bad], [0.5, bad], [bad, 0.0, 1.0]):
+        with pytest.raises(OutOfDomain):
+            p.gf_eval_many(np.array(z))
+    assert p.gf_eval_many(np.array([0.0, 0.5, 1.0])).tolist() == [0.25, 0.4375, 1.0]
+
+
 def test_gf_inverse_values():
     # an atom at 0 plus one more inverts in closed form, exact at these points
     p = Pmf({0: 0.25, 2: 0.75})
