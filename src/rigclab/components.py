@@ -17,6 +17,8 @@ from .model import BcmGraph, ModelParams, RigcGraph, check_communities
 
 #: the joint law is counted in a dense table while its codes stay below this many per vertex
 _DENSE_CODES_PER_VERTEX = 4
+#: projected degrees are summed over blocks of about this many r-positions
+_BLOCK_ROLES = 1 << 16
 
 
 def _labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -213,23 +215,41 @@ def giant_stats_rigc_from_bcm(
     labels = labels[:n]
     sizes = np.bincount(labels)
     giant = _largest_label(sizes)
+    shapes = communities.shapes
     group_in_giant = labels[_first_holders(bcm)] == giant
-    holder = bcm.holder
-    degrees = np.zeros(n, dtype=np.int64)
-    edges = 0
-    for t, members in communities.groups_by_shape():
-        g = communities.shapes[t]
-        if not g.edges:
-            continue
-        edges += g.edge_count * int(np.count_nonzero(group_in_giant[members]))
-        bases = bcm.r_offsets[members]
-        for j, deg in enumerate(g.degrees()):
-            # one role at a time: no temporary of one entry per half-edge
-            held = np.bincount(holder[bases + j], minlength=n)
-            held *= deg
-            degrees += held
+    groups_in_giant = np.bincount(
+        communities.type_index[group_in_giant], minlength=len(shapes)
+    )
+    edges = int(groups_in_giant @ np.array([g.edge_count for g in shapes], dtype=np.int64))
+    degrees = _projected_degrees(bcm, communities)
     mask = labels == giant
     return _giant_stats(n, sizes, _joint_law(bcm.l_degrees[mask], degrees[mask], n), edges)
+
+
+def _projected_degrees(bcm: BcmGraph, communities: CommunityList) -> np.ndarray:
+    """Per individual: the sum of its roles' degrees inside their community graphs.
+
+    Every shape's role degrees sit in one table, and the r-positions are
+    walked in blocks of about ``_BLOCK_ROLES``, each reading its role's
+    entry: the work is linear in the half-edges however many shapes there
+    are, and no temporary holds one entry per half-edge.
+    """
+    shapes = communities.shapes
+    table = np.array([d for g in shapes for d in g.degrees()], dtype=np.int64)
+    shape_start = np.cumsum(communities.shape_n) - communities.shape_n
+    offsets = bcm.r_offsets
+    cuts = np.searchsorted(offsets, np.arange(0, offsets[-1], _BLOCK_ROLES))
+    cuts = np.unique(np.append(cuts, bcm.n_r)).tolist()
+    degrees = np.zeros(bcm.n_l, dtype=np.int64)
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        a, b = offsets[lo], offsets[hi]
+        # position p of group x holds role p - offsets[x] of x's shape
+        rows = np.repeat(
+            shape_start[communities.type_index[lo:hi]] - offsets[lo:hi], bcm.r_degrees[lo:hi]
+        )
+        rows += np.arange(a, b)
+        np.add.at(degrees, bcm.holder[a:b], table[rows])
+    return degrees
 
 
 def _fraction_law(values: np.ndarray, total: int) -> dict[int, float]:

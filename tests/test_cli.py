@@ -160,20 +160,7 @@ VALID_SAMPLED = dict(inputs={"l_pmf": {"1": 0.5, "3": 0.5}, "catalog": K3_CATALO
         pytest.param("giant", {"seed": 7.5}, "seed", id="seed-fractional"),
         pytest.param("giant", {"target_n": 100.5}, "target_n", id="target-n-fractional"),
         pytest.param("giant", {"threads": 1.5}, "threads", id="threads-fractional"),
-        pytest.param("giant", {"replicas": 2e12}, "replicas", id="replicas-above-cap"),
         pytest.param("giant", {"inputs": []}, "inputs", id="inputs-not-object"),
-        pytest.param(
-            "giant",
-            {"inputs": {"l_pmf": {"1": 1.0},
-                        "catalog": [{"graph": {"complete": 3e12}, "weight": 1.0}]}},
-            "inputs.catalog[0].graph", id="catalog-graph-above-cap",
-        ),
-        pytest.param(
-            "giant",
-            {"inputs": {"l_pmf": {"1": 1.0},
-                        "catalog": [{"graph": {"path": 1001}, "weight": 1.0}]}},
-            "inputs.catalog[0].graph", id="catalog-path-above-cap",
-        ),
         pytest.param(
             "compare", {"theory_report": 5, "empirical_csv": "giant.csv"},
             "theory_report", id="compare-path-not-string",
@@ -188,6 +175,18 @@ VALID_SAMPLED = dict(inputs={"l_pmf": {"1": 0.5, "3": 0.5}, "catalog": K3_CATALO
             {"theory_report": "t.json", "empirical_csv": "g.csv",
              "tolerances": {"c1_fraction": "tight"}},
             "tolerances.c1_fraction", id="compare-tolerance-not-number",
+        ),
+        pytest.param(
+            "compare",
+            {"theory_report": "t.json", "empirical_csv": "g.csv",
+             "tolerances": {"c1_fraction": True}},
+            "tolerances.c1_fraction", id="compare-tolerance-boolean",
+        ),
+        pytest.param(
+            "compare",
+            {"theory_report": "t.json", "empirical_csv": "g.csv",
+             "tolerances": {"c1_fraction": "0.1"}},
+            "tolerances.c1_fraction", id="compare-tolerance-numeric-string",
         ),
         pytest.param("giant", {"threads": 0}, "threads", id="threads-zero"),
         pytest.param("giant", {"threads": -3}, "threads", id="threads-negative"),
@@ -266,10 +265,17 @@ def run_cli_subprocess(tmp_path, mode, timeout, **cfg):
         # its first draw asks for about 51 TiB, refused at once with no page touched;
         # never test a size the host could actually commit
         pytest.param("giant", {"target_n": 1e13, "seed": 1}, 3, id="target-n-huge"),
+        # 4.5e24 edges: refused before the first is built
+        pytest.param(
+            "theory",
+            {"inputs": {"l_pmf": {"1": 1.0},
+                        "catalog": [{"graph": {"complete": 3e12}, "weight": 1.0}]}},
+            3, id="catalog-complete-huge",
+        ),
     ],
 )
 def test_hostile_config_ends(tmp_path, mode, change, code):
-    done = run_cli_subprocess(tmp_path, mode, 60, inputs=ESTAR_INPUTS, **change)
+    done = run_cli_subprocess(tmp_path, mode, 60, **{"inputs": ESTAR_INPUTS, **change})
     assert done.returncode == code, done.stderr
     assert "Traceback" not in done.stderr
     if code == 2:
@@ -763,6 +769,30 @@ def test_generate_mode(tmp_path):
     assert edges[0] == "u,v,mult"
     params = json.loads((tmp_path / "out" / "params_r0.json").read_text())
     assert sum(params["l_degrees"]) == sum(g["n"] for g in params["communities"])
+
+
+def test_large_community_graph_runs(tmp_path):
+    # community graphs have no vertex cap: K1200's 719400 edges build in about a second
+    inputs = {"l_pmf": {"1": 0.5, "3": 0.5},
+              "catalog": [{"graph": {"complete": 1200}, "weight": 1.0}]}
+    cfg = write_config(tmp_path, "cfg.json", inputs=inputs, out_dir=str(tmp_path / "out"))
+    assert run(cfg, mode="theory") == 0
+    assert (tmp_path / "out" / "theory.json").is_file()
+
+
+def test_compare_tolerances_written_as_given(tmp_path):
+    (tmp_path / "theory.json").write_text(json.dumps({"expected": {"c1_fraction": 0.9}}))
+    (tmp_path / "emp.csv").write_text("c1_fraction\n0.5\n")
+    cfg = write_config(
+        tmp_path, "cfg.json", theory_report=str(tmp_path / "theory.json"),
+        empirical_csv=str(tmp_path / "emp.csv"), tolerances={"c1_fraction": 1},
+        out_dir=str(tmp_path / "out"),
+    )
+    assert run(cfg, mode="compare") == 0
+    entry = json.loads((tmp_path / "out" / "deviations.json").read_text())["c1_fraction"]
+    # an integer tolerance is written as given, not as 1.0
+    assert type(entry["tolerance"]) is int
+    assert entry["pass"]
 
 
 def test_compare_identical_is_zero(tmp_path):

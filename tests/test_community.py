@@ -405,23 +405,15 @@ def test_size_census_vertex_cap():
         size_census(CommunityGraph(13, path_edges(13)))
 
 
-def test_community_vertex_cap_refuses_before_building_edges():
-    from rigclab.community import COMMUNITY_MAX_VERTICES
-
-    cap = COMMUNITY_MAX_VERTICES
-    assert path_graph(cap).edge_count == cap - 1
-    assert cycle_graph(cap).edge_count == cap
+def test_named_graph_too_large_to_hold_refused_before_building():
+    # 3e12 vertices: no edge is built, so the refusal is immediate
     for make in (complete_graph, path_graph, cycle_graph):
-        with pytest.raises(TooManyVertices):
-            make(cap + 1)
-
-    def no_edge_read():
-        raise AssertionError("an edge was read before the vertex cap was checked")
-        yield
-
-    # the edges of 3e12 vertices would exhaust memory if any were built first
-    with pytest.raises(TooManyVertices):
-        CommunityGraph(3 * 10**12, no_edge_read())
+        with pytest.raises(MemoryError):
+            make(3 * 10**12)
+    # any size that can be held is built, with no vertex cap
+    assert complete_graph(1001).edge_count == 1001 * 500
+    assert path_graph(5000).edge_count == 4999
+    assert cycle_graph(5000).edge_count == 5000
 
 
 def test_named_graph_edges():

@@ -26,6 +26,7 @@ from rigclab import (
     rigc_components,
     sample_params,
 )
+from rigclab import components
 from rigclab.components import _labels
 from conftest import philox
 
@@ -599,3 +600,36 @@ def test_rigc_from_bcm_equals_projection_explicit():
         assert dataclasses.asdict(stats) == rigc_oracle(
             l_degrees, communities, bcm.matching.tolist()
         )
+
+
+def distinct_shapes(count, rng):
+    """``count`` distinct connected labeled graphs on 3 to 6 vertices: a
+    random tree (each vertex joined to an earlier one) plus random chords."""
+    shapes = {}
+    while len(shapes) < count:
+        n = int(rng.integers(3, 7))
+        edges = {(int(rng.integers(1, v)), v) for v in range(2, n + 1)}
+        pairs = itertools.combinations(range(1, n + 1), 2)
+        edges |= {(u, v) for u, v in pairs if rng.random() < 0.3}
+        shapes.setdefault(CommunityGraph(n, edges), None)
+    return list(shapes)
+
+
+@pytest.mark.parametrize("block", [None, 1, 7])
+def test_rigc_from_bcm_equals_projection_many_shapes(monkeypatch, block):
+    """Hundreds of distinct shapes, one group each, with the role degrees
+    summed in blocks of every size (one group, a few, all of them)."""
+    if block is not None:
+        monkeypatch.setattr(components, "_BLOCK_ROLES", block)
+    rng = philox(7, 0, 34)
+    communities = distinct_shapes(400, rng)
+    remaining = sum(g.n for g in communities)
+    l_degrees = []
+    while remaining:
+        l_degrees.append(min(int(rng.integers(1, 4)), remaining))
+        remaining -= l_degrees[-1]
+    params = build_params(l_degrees, communities)
+    assert len(params.communities.shapes) == 400
+    for seed in range(3):
+        bcm = generate_bcm(params, philox(seed, 0, 35))
+        check_rigc_from_bcm(bcm, params)
