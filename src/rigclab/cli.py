@@ -208,6 +208,8 @@ class Experiment:
         self.target_n = cfg.get("target_n")
         if self.target_n is not None:
             self.target_n = _int(self.target_n, "target_n")
+            if self.target_n < 1:
+                _fail("target_n", "must be >= 1")
         if mode in SAMPLING_MODES and self.l_degrees is None and self.target_n is None:
             _fail("target_n", "required when degrees are sampled from a pmf")
 
@@ -234,8 +236,12 @@ class Experiment:
         self.t0 = cfg.get("t0")
         if self.t0 is not None and not _float(self.t0, "t0") >= 0.0:
             _fail("t0", "must be a number >= 0")
-        self.c_grid = cfg.get("c_grid") or [round(0.1 + 0.05 * i, 10) for i in range(19)]
+        self.c_grid = cfg.get("c_grid")
+        if self.c_grid is None:
+            self.c_grid = [round(0.1 + 0.05 * i, 10) for i in range(19)]
         _check_numbers(self.c_grid, "c_grid", lambda c: 0.0 < c <= 1.0, "(0, 1]")
+        if not self.c_grid:
+            _fail("c_grid", "expected a nonempty list of numbers")
         self.d_max = cfg.get("d_max")
         if self.d_max is not None:
             self.d_max = _int(self.d_max, "d_max")

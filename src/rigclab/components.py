@@ -31,8 +31,9 @@ def _labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     now share a root drop out (self-loops before the first round).  A pointer
     only ever moves down, so each root is the lowest vertex of its tree, and
     numbering roots by rank numbers components by their lowest vertex.
+    Every array, the labels included, takes the dtype of ``u``.
     """
-    parent = np.arange(n, dtype=np.int64)
+    parent = np.arange(n, dtype=u.dtype)
     roots = parent.copy()
     live = u != v
     u = u[live]
@@ -62,7 +63,7 @@ def _labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         if np.array_equal(up, parent):
             break
         parent = up
-    return (np.cumsum(parent == np.arange(n)) - 1)[parent]
+    return (np.cumsum(parent == np.arange(n, dtype=u.dtype), dtype=u.dtype) - 1)[parent]
 
 
 def rigc_components(graph: RigcGraph) -> np.ndarray:

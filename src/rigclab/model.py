@@ -20,9 +20,21 @@ from .errors import (
     InconsistentMatching,
     NotTwoRegularRight,
     OutOfDomain,
+    OutOfRange,
     ZeroDegree,
 )
 from .pmf import Pmf
+
+#: index arrays are int32 while every index they can hold stays below this
+INDEX32_LIMIT = 1 << 31
+
+
+def index_dtype(count: int) -> type:
+    """The dtype of the matching's index arrays (``matching``, ``l_owner``,
+    ``holder`` and the component labels) for ``count`` = h + n_l + n_r:
+    int32 below ``INDEX32_LIMIT``, int64 otherwise.  Products and sums of
+    degrees stay int64 wherever they are formed."""
+    return np.int32 if count < INDEX32_LIMIT else np.int64
 
 
 @dataclass(frozen=True)
@@ -180,14 +192,17 @@ class BcmGraph:
             # bcm_components and giant_stats_bcm read a group off its first member
             raise ZeroDegree("every group needs at least one member")
         m = np.asarray(self.matching)
-        if (
-            len(m) != h
-            or m.min() < 0
-            or m.max() >= h
-            or np.bincount(m, minlength=h).max() != 1
-        ):
+        # h positions in range, every one hit: a bijection by pigeonhole
+        seen = np.zeros(h, dtype=bool)
+        if m.dtype.kind in "iu" and len(m) == h and m.min() >= 0 and m.max() < h:
+            seen[m] = True
+        if not seen.all():
             raise InconsistentMatching("matching is not a bijection over half-edges")
-        object.__setattr__(self, "l_owner", np.repeat(np.arange(len(self.l_degrees)), self.l_degrees))
+        idx = index_dtype(h + len(self.l_degrees) + len(self.r_degrees))
+        object.__setattr__(self, "matching", m.astype(idx, copy=False))
+        object.__setattr__(
+            self, "l_owner", np.repeat(np.arange(len(self.l_degrees), dtype=idx), self.l_degrees)
+        )
         offs = np.zeros(len(self.r_degrees) + 1, dtype=np.int64)
         np.cumsum(self.r_degrees, out=offs[1:])
         object.__setattr__(self, "r_offsets", offs)
@@ -220,10 +235,13 @@ def generate_bcm(params: ModelParams, rng: np.random.Generator) -> BcmGraph:
     distributed exactly uniformly over all h! matchings.
     """
     h = params.half_edges
+    # shuffling an arange draws exactly what rng.permutation(h) draws
+    matching = np.arange(h, dtype=index_dtype(h + params.n_l + params.n_r))
+    rng.shuffle(matching)
     return BcmGraph(
         l_degrees=params.l_degrees,
         r_degrees=params.r_degrees(),
-        matching=rng.permutation(h),
+        matching=matching,
     )
 
 
@@ -238,6 +256,13 @@ class RigcGraph:
     edge_u: np.ndarray
     edge_v: np.ndarray
     edge_mult: np.ndarray
+
+    def __post_init__(self):
+        for name in ("edge_u", "edge_v", "edge_mult"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name)))
+        for ends in (self.edge_u, self.edge_v):
+            if len(ends) and (ends.min() < 0 or ends.max() >= self.n_vertices):
+                raise OutOfRange(f"edge ends must lie in [0, {self.n_vertices})")
 
     def multiplicities(self) -> dict[tuple[int, int], int]:
         return {
@@ -257,8 +282,10 @@ class RigcGraph:
 
 def _aggregate_edges(n: int, u: np.ndarray, v: np.ndarray) -> RigcGraph:
     """One edge per distinct unordered pair (u <= v), its multiplicity the
-    number of times the pair occurs; ``u`` and ``v`` are int64."""
-    lo = np.minimum(u, v)
+    number of times the pair occurs.  The pair codes ``lo * n + hi`` reach
+    n^2, so they are formed in int64 whatever the index dtype of ``u`` and
+    ``v``."""
+    lo = np.minimum(u, v).astype(np.int64, copy=False)
     hi = np.maximum(u, v)
     uniq, counts = np.unique(lo * n + hi, return_counts=True)
     return RigcGraph(n_vertices=n, edge_u=uniq // n, edge_v=uniq % n, edge_mult=counts)

@@ -150,6 +150,9 @@ VALID_SAMPLED = dict(inputs={"l_pmf": {"1": 0.5, "3": 0.5}, "catalog": K3_CATALO
         pytest.param("explore", {"c_grid": [0.5, 1.5]}, "c_grid[1]", id="c-grid-above-1"),
         pytest.param("explore", {"c_grid": [0.0, 0.5]}, "c_grid[0]", id="c-grid-zero"),
         pytest.param("theory", {"c_grid": [0.5, 1.5]}, "c_grid[1]", id="theory-c-grid-above-1"),
+        pytest.param("theory", {"c_grid": {}}, "c_grid", id="theory-c-grid-empty-object"),
+        pytest.param("theory", {"c_grid": []}, "c_grid", id="theory-c-grid-empty-list"),
+        pytest.param("explore", {"c_grid": []}, "c_grid", id="c-grid-empty-list"),
         pytest.param("theory", {"d_max": "x"}, "d_max", id="d-max-not-int"),
         pytest.param(
             "compare", {"theory_report": "missing.json", "empirical_csv": "missing.csv"},
@@ -159,6 +162,8 @@ VALID_SAMPLED = dict(inputs={"l_pmf": {"1": 0.5, "3": 0.5}, "catalog": K3_CATALO
         pytest.param("giant", {"replicas": True}, "replicas", id="replicas-bool"),
         pytest.param("giant", {"seed": 7.5}, "seed", id="seed-fractional"),
         pytest.param("giant", {"target_n": 100.5}, "target_n", id="target-n-fractional"),
+        pytest.param("giant", {"target_n": -200}, "target_n", id="target-n-negative"),
+        pytest.param("giant", {"target_n": 0}, "target_n", id="target-n-zero"),
         pytest.param("giant", {"threads": 1.5}, "threads", id="threads-fractional"),
         pytest.param("giant", {"inputs": []}, "inputs", id="inputs-not-object"),
         pytest.param(

@@ -26,7 +26,7 @@ from rigclab import (
     rigc_components,
     sample_params,
 )
-from rigclab import components
+from rigclab import components, model
 from rigclab.components import _labels
 from conftest import philox
 
@@ -54,13 +54,17 @@ def labels_oracle(n, u, v):
 
 
 def check_labels(n, u, v):
-    u_before, v_before = u.copy(), v.copy()
-    got = _labels(n, u, v)
-    assert got.dtype == np.int64
-    np.testing.assert_array_equal(got, labels_oracle(n, u, v))
-    # the edge arrays are the caller's: left as they were
-    np.testing.assert_array_equal(u, u_before)
-    np.testing.assert_array_equal(v, v_before)
+    expected = labels_oracle(n, u, v)
+    for dtype in (np.int64, np.int32):
+        u, v = u.astype(dtype), v.astype(dtype)
+        u_before, v_before = u.copy(), v.copy()
+        got = _labels(n, u, v)
+        # the labels take the edges' index dtype
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, expected)
+        # the edge arrays are the caller's: left as they were
+        np.testing.assert_array_equal(u, u_before)
+        np.testing.assert_array_equal(v, v_before)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -633,3 +637,41 @@ def test_rigc_from_bcm_equals_projection_many_shapes(monkeypatch, block):
     for seed in range(3):
         bcm = generate_bcm(params, philox(seed, 0, 35))
         check_rigc_from_bcm(bcm, params)
+
+
+def test_sampled_bcm_index_arrays_are_int32():
+    p, catalog, target_n = SAMPLED_CASES["mixed-with-k1"]
+    params = sample_params(p, catalog, target_n, philox(3, 0, 31))
+    bcm = generate_bcm(params, philox(3, 0, 32))
+    for array in (bcm.matching, bcm.l_owner, bcm.holder, bcm_components(bcm)):
+        assert array.dtype == np.int32
+    # a caller's int64 matching is held in the index dtype, values unchanged
+    given = BcmGraph(params.l_degrees, params.r_degrees(), bcm.matching.astype(np.int64))
+    assert given.matching.dtype == np.int32
+    np.testing.assert_array_equal(given.holder, bcm.holder)
+
+
+@pytest.mark.parametrize("case", SAMPLED_CASES)
+def test_int64_index_path_equals_int32_path(monkeypatch, case):
+    """With the int32 limit lowered to the instance's own index count, the
+    same instance runs on int64 index arrays and every statistic is equal."""
+    p, catalog, target_n = SAMPLED_CASES[case]
+    for seed in range(3):
+        params = sample_params(p, catalog, target_n, philox(seed, 0, 31))
+        count = params.half_edges + params.n_l + params.n_r
+        runs = []
+        for limit, dtype in ((count + 1, np.int32), (count, np.int64)):
+            monkeypatch.setattr(model, "INDEX32_LIMIT", limit)
+            bcm = generate_bcm(params, philox(seed, 0, 32))
+            labels = bcm_components(bcm)
+            assert bcm.matching.dtype == bcm.holder.dtype == labels.dtype == dtype
+            runs.append((
+                bcm.matching, labels,
+                dataclasses.asdict(giant_stats_rigc_from_bcm(bcm, params.communities, labels)),
+                dataclasses.asdict(giant_stats_bcm(bcm, labels)),
+            ))
+        (m32, l32, rigc32, bcm32), (m64, l64, rigc64, bcm64) = runs
+        np.testing.assert_array_equal(m32, m64)
+        np.testing.assert_array_equal(l32, l64)
+        assert rigc32 == rigc64
+        assert bcm32 == bcm64

@@ -26,8 +26,10 @@ from rigclab.errors import (
     InconsistentMatching,
     NotTwoRegularRight,
     OutOfDomain,
+    OutOfRange,
     ZeroDegree,
 )
+from rigclab.model import RigcGraph, _aggregate_edges
 from conftest import philox
 
 
@@ -243,6 +245,40 @@ def test_bcm_rejects_non_bijection(k2):
             r_degrees=np.array([2]),
             matching=np.array([0, 0]),
         )
+
+
+@pytest.mark.parametrize(
+    "matching",
+    [[0, 2, 2], [0, 1], [0, 1, 3], [-1, 0, 1], [0.0, 1.0, 2.0]],
+    ids=["repeat", "short", "above-range", "negative", "float"],
+)
+def test_bcm_rejects_other_non_bijections(matching):
+    with pytest.raises(InconsistentMatching):
+        BcmGraph(
+            l_degrees=np.array([1, 2]),
+            r_degrees=np.array([3]),
+            matching=np.array(matching),
+        )
+
+
+@pytest.mark.parametrize(
+    "u,v", [([-2], [1]), ([0, 1], [1, -1]), ([3], [0]), ([0, 1], [1, 7])],
+    ids=["negative-u", "negative-v", "u-at-n", "v-above-n"],
+)
+def test_rigc_rejects_out_of_range_ids(u, v):
+    with pytest.raises(OutOfRange):
+        RigcGraph(3, np.array(u), np.array(v), np.ones(len(u), dtype=np.int64))
+
+
+def test_aggregate_edges_int32_pair_codes_beyond_2_31():
+    # lo * n + hi reaches about 1e10: int32 ends must still give the right pairs
+    n = 100_000
+    u = np.array([99_999, 5, 70_000, 99_998], dtype=np.int32)
+    v = np.array([99_998, 99_999, 80_000, 99_999], dtype=np.int32)
+    assert int(u.max()) * n > 2**31
+    graph = _aggregate_edges(n, u, v)
+    assert graph.multiplicities() == {(5, 99_999): 1, (70_000, 80_000): 1, (99_998, 99_999): 2}
+    assert graph.edge_u.dtype == graph.edge_v.dtype == np.int64
 
 
 def test_bcm_rejects_empty_group():
