@@ -42,6 +42,7 @@ from .components import (
 )
 from .errors import ConfigError, KeyMismatch, LabError, OutOfDomain
 from .model import (
+    _aggregate_edges,
     build_params,
     empirical_catalog,
     empirical_l_pmf,
@@ -310,12 +311,17 @@ def _write_csv(path: Path, header: list[str], rows: Iterable[tuple]) -> None:
     config (``c_grid``, ``pi_grid``) prints without ``.0``.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    line = ",".join(["%s"] * len(header)) + "\n"
-    rows = iter(rows)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        while text := "".join(map(line.__mod__, itertools.islice(rows, CSV_CHUNK))):
-            fh.write(text)
+        _write_rows(fh, len(header), rows)
+
+
+def _write_rows(fh, width: int, rows: Iterable[tuple]) -> None:
+    """Write ``rows`` of ``width`` cells to ``fh``, as ``_write_csv`` does."""
+    line = ",".join(["%s"] * width) + "\n"
+    rows = iter(rows)
+    while text := "".join(map(line.__mod__, itertools.islice(rows, CSV_CHUNK))):
+        fh.write(text)
 
 
 def _column_rows(columns: list[np.ndarray]) -> Iterator[tuple]:
@@ -458,7 +464,7 @@ def _job_generate(exp: Experiment, replica: int) -> dict:
     _write_csv(
         exp.out_dir / f"rigc_edges_r{replica}.csv",
         ["u", "v", "mult"],
-        _column_rows([rigc.edge_u, rigc.edge_v, rigc.edge_mult]),
+        _column_rows(list(_aggregate_edges(rigc.n_vertices, rigc.edge_u, rigc.edge_v))),
     )
     _write_json(
         exp.out_dir / f"params_r{replica}.json",
@@ -520,15 +526,19 @@ _JOBS = {
 
 
 def _run_replicas(exp: Experiment) -> int:
-    """Run the mode's job once per replica, then write each table the jobs
-    return, its rows concatenated in replica order."""
+    """Run the mode's job once per replica and write the rows of each table
+    it returns as the job returns, in replica order: the first replica to
+    return a table writes its header, and later ones append their rows."""
     job = functools.partial(_JOBS[exp.mode], exp)
-    tables: dict[str, tuple[list[str], list[tuple]]] = {}
+    started: set[str] = set()
     for out in _map_replicas(job, range(exp.replicas), exp.threads):
         for name, (header, rows) in out.items():
-            tables.setdefault(name, (header, []))[1].extend(rows)
-    for name, (header, rows) in tables.items():
-        _write_csv(exp.out_dir / name, header, rows)
+            if name in started:
+                with open(exp.out_dir / name, "a") as fh:
+                    _write_rows(fh, len(header), rows)
+            else:
+                _write_csv(exp.out_dir / name, header, rows)
+                started.add(name)
     return 0
 
 

@@ -416,8 +416,8 @@ class _SubsetCensus:
 
     Per kept-edge count k it accumulates, for each distinct outcome (multiset
     of component keys), the number of subsets producing it.  Evaluating the
-    profile at any retention probability is then just a binomial-weight
-    contraction.
+    profile at any retention probability is then a contraction with the
+    weights pi^k (1 - pi)^(|E| - k).
     """
 
     __slots__ = ("m", "outcome_counts", "components_by_key")

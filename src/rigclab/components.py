@@ -190,8 +190,8 @@ def giant_stats_rigc(graph: RigcGraph, params: ModelParams | None = None) -> Gia
     if params is not None:
         mask = labels == giant
         joint = _joint_law(np.asarray(params.l_degrees)[mask], graph.projected_degrees()[mask], n)
-    in_giant = labels[graph.edge_u] == giant
-    return _giant_stats(n, sizes, joint, int(graph.edge_mult[in_giant].sum()))
+    edges = np.count_nonzero(labels[graph.edge_u] == giant)
+    return _giant_stats(n, sizes, joint, edges)
 
 
 def giant_stats_rigc_from_bcm(

@@ -2,7 +2,8 @@
 
 The generator draws degrees and communities, matches half-edges by a single
 uniform permutation, and copies every community edge onto the individuals
-holding its endpoint roles, keeping self-loops and multi-edges.
+holding its endpoint roles: the projected multigraph is its edge units in
+gather order, self-loops and repeated pairs kept.
 """
 from __future__ import annotations
 
@@ -250,50 +251,46 @@ def generate_bcm(params: ModelParams, rng: np.random.Generator) -> BcmGraph:
 
 @dataclass(frozen=True)
 class RigcGraph:
-    """Projected multigraph stored as aggregated edge multiplicities (u <= v)."""
+    """Projected multigraph as its edge units: unit i joins ``edge_u[i]`` and
+    ``edge_v[i]``, units in gather order, self-loops and repeated pairs kept."""
 
     n_vertices: int
     edge_u: np.ndarray
     edge_v: np.ndarray
-    edge_mult: np.ndarray
 
     def __post_init__(self):
-        for name in ("edge_u", "edge_v", "edge_mult"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name)))
-        for ends in (self.edge_u, self.edge_v):
+        u, v = np.asarray(self.edge_u), np.asarray(self.edge_v)
+        if u.dtype.kind not in "iu" or v.dtype.kind not in "iu" or len(u) != len(v):
+            raise OutOfDomain("edge ends must be two integer arrays of equal length")
+        if u.dtype != v.dtype:
+            # uint64 and int64 ends would meet in float, which cannot index
+            u, v = u.astype(np.int64), v.astype(np.int64)
+        for ends in (u, v):
             if len(ends) and (ends.min() < 0 or ends.max() >= self.n_vertices):
                 raise OutOfRange(f"edge ends must lie in [0, {self.n_vertices})")
+        object.__setattr__(self, "edge_u", u)
+        object.__setattr__(self, "edge_v", v)
 
     def multiplicities(self) -> dict[tuple[int, int], int]:
-        return {
-            (int(u), int(v)): int(m)
-            for u, v, m in zip(self.edge_u, self.edge_v, self.edge_mult)
-        }
-
-    def total_multiplicity(self) -> int:
-        return int(self.edge_mult.sum())
+        """Distinct pair (u <= v) -> its number of units."""
+        u, v, mult = _aggregate_edges(self.n_vertices, self.edge_u, self.edge_v)
+        return dict(zip(zip(u.tolist(), v.tolist()), mult.tolist()))
 
     def projected_degrees(self) -> np.ndarray:
         """Per-vertex degree; a self-loop contributes 2 to its endpoint."""
-        deg = np.bincount(self.edge_u, weights=self.edge_mult, minlength=self.n_vertices)
-        deg += np.bincount(self.edge_v, weights=self.edge_mult, minlength=self.n_vertices)
-        return deg.astype(np.int64)
+        n = self.n_vertices
+        return np.bincount(self.edge_u, minlength=n) + np.bincount(self.edge_v, minlength=n)
 
 
-def _aggregate_edges(n: int, u: np.ndarray, v: np.ndarray) -> RigcGraph:
-    """One edge per distinct unordered pair (u <= v), its multiplicity the
-    number of times the pair occurs.  The pair codes ``lo * n + hi`` reach
-    n^2, so they are formed in int64 whatever the index dtype of ``u`` and
-    ``v``."""
+def _aggregate_edges(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(u, v, mult): one row per distinct pair (u <= v) of the units
+    ``(u[i], v[i])``, in ascending order, ``mult`` its number of units.  The
+    pair codes ``lo * n + hi`` reach n^2, so they are formed in int64
+    whatever the index dtype of ``u`` and ``v``."""
     lo = np.minimum(u, v).astype(np.int64, copy=False)
     hi = np.maximum(u, v)
-    uniq, counts = np.unique(lo * n + hi, return_counts=True)
-    return RigcGraph(n_vertices=n, edge_u=uniq // n, edge_v=uniq % n, edge_mult=counts)
-
-
-def empty_rigc(n: int) -> RigcGraph:
-    z = np.array([], dtype=np.int64)
-    return RigcGraph(n_vertices=n, edge_u=z, edge_v=z, edge_mult=z.copy())
+    uniq, mult = np.unique(lo * n + hi, return_counts=True)
+    return uniq // n, uniq % n, mult
 
 
 def check_communities(bcm: BcmGraph, communities: CommunityList) -> None:
@@ -305,33 +302,27 @@ def check_communities(bcm: BcmGraph, communities: CommunityList) -> None:
 def project_rigc(bcm: BcmGraph, communities: Sequence[CommunityGraph]) -> RigcGraph:
     """Copy every community edge onto the individuals holding its endpoint roles.
 
-    Total multiplicity mass equals the total community edge count; one vertex
-    holding both endpoint roles yields a self-loop.  The transfer is a few
-    array gathers per distinct shape.
+    One unit per (group, community edge): shapes in order of first
+    appearance, the groups of a shape in ascending order, each group's edges
+    in shape order.  One vertex holding both endpoint roles yields a
+    self-loop.  The ends are gathers from ``bcm.holder``, so they take the
+    matching's index dtype.
     """
     communities = CommunityList.of(communities)
     check_communities(bcm, communities)
-    chunks_u: list[np.ndarray] = []
-    chunks_v: list[np.ndarray] = []
-    for t, members in communities.groups_by_shape():
-        g = communities.shapes[t]
-        if not g.edges:
-            continue
-        local = np.array(g.edges, dtype=np.int64) - 1
-        bases = bcm.r_offsets[members]
-        chunks_u.append((bases[:, None] + local[None, :, 0]).ravel())
-        chunks_v.append((bases[:, None] + local[None, :, 1]).ravel())
-    if not chunks_u:
-        return empty_rigc(bcm.n_l)
     holder = bcm.holder
-    return _aggregate_edges(
-        bcm.n_l, holder[np.concatenate(chunks_u)], holder[np.concatenate(chunks_v)]
-    )
+    ends_u, ends_v = [holder[:0]], [holder[:0]]
+    for t, members in communities.groups_by_shape():
+        local = np.array(communities.shapes[t].edges, dtype=np.int64).reshape(-1, 2) - 1
+        bases = bcm.r_offsets[members]
+        ends_u.append(holder[(bases[:, None] + local[None, :, 0]).ravel()])
+        ends_v.append(holder[(bases[:, None] + local[None, :, 1]).ravel()])
+    return RigcGraph(bcm.n_l, np.concatenate(ends_u), np.concatenate(ends_v))
 
 
 def contract_to_cm(bcm: BcmGraph) -> RigcGraph:
-    """Contract every degree-2 group into a single edge between its members."""
+    """Contract every degree-2 group into one unit between its members."""
     if not np.all(bcm.r_degrees == 2):
         raise NotTwoRegularRight("contraction needs every r-vertex to have degree 2")
     first = bcm.r_offsets[:-1]
-    return _aggregate_edges(bcm.n_l, bcm.holder[first], bcm.holder[first + 1])
+    return RigcGraph(bcm.n_l, bcm.holder[first], bcm.holder[first + 1])

@@ -38,19 +38,13 @@ from .theory import GiantPrediction, TheoryInputs, giant_prediction
 def percolate_rigc_graph(
     graph: RigcGraph, pi: float, rng: np.random.Generator
 ) -> RigcGraph:
-    """Keep every edge instance (each unit of multiplicity) independently."""
+    """Keep every unit independently: one uniform variate per unit, units in
+    gather order, and a unit is kept when its variate is <= pi, the draw and
+    the rule of ``harris_sweep``."""
     if not 0.0 <= pi <= 1.0:
         raise OutOfDomain(f"pi={pi} outside [0, 1]")
-    if len(graph.edge_mult) == 0:
-        return graph
-    kept = rng.binomial(graph.edge_mult, pi)
-    mask = kept > 0
-    return RigcGraph(
-        n_vertices=graph.n_vertices,
-        edge_u=graph.edge_u[mask],
-        edge_v=graph.edge_v[mask],
-        edge_mult=kept[mask].astype(np.int64),
-    )
+    kept = rng.random(len(graph.edge_u)) <= pi
+    return RigcGraph(graph.n_vertices, graph.edge_u[kept], graph.edge_v[kept])
 
 
 def _distinct_rows(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -236,14 +230,14 @@ def harris_sweep(
 ) -> list[GiantStats]:
     """Giant statistics along a retention grid under one shared coupling.
 
-    A single uniform variate per edge instance (unit of multiplicity, units in
-    edge order) realizes percolation at every pi simultaneously: a unit is
-    kept at pi when its variate is <= pi.  The giant fraction is therefore
-    pointwise nondecreasing along the (ascending) grid, and one pass serves
-    every point (Newman & Ziff, Phys. Rev. E 64, 016706 (2001)): units are
-    sorted once by variate, and at each point only the units that entered
-    since the previous point are merged.  They are contracted onto the
-    current components, whose sizes and kept-unit counts (self-loops
+    A single uniform variate per unit (units in gather order) realizes
+    percolation at every pi simultaneously: a unit is kept at pi when its
+    variate is <= pi, as in ``percolate_rigc_graph``.  The giant fraction is
+    therefore pointwise nondecreasing along the (ascending) grid, and one
+    pass serves every point (Newman & Ziff, Phys. Rev. E 64, 016706 (2001)):
+    units are sorted once by variate, and at each point only the units that
+    entered since the previous point are merged.  They are contracted onto
+    the current components, whose sizes and kept-unit counts (self-loops
     included) are folded along the merge.  A point costs its entered units
     plus one pass over the current components, so dense grids are cheap.
     ``components._labels`` numbers the merged components in order of their
@@ -258,13 +252,11 @@ def harris_sweep(
     if sorted(grid) != grid:
         raise OutOfDomain("pi grid must be sorted ascending")
     n = graph.n_vertices
-    units_u = np.repeat(graph.edge_u, graph.edge_mult)
-    units_v = np.repeat(graph.edge_v, graph.edge_mult)
-    coupling = rng.random(len(units_u))
+    coupling = rng.random(len(graph.edge_u))
     order = np.argsort(coupling)  # not stable: a point keeps a set, whatever the order
     ends = np.searchsorted(coupling[order], grid, side="right").tolist()
-    units_u = units_u[order]
-    units_v = units_v[order]
+    units_u = graph.edge_u[order]
+    units_v = graph.edge_v[order]
 
     # per vertex its component; per component its size and kept units (floats
     # hold these counts exactly, as np.bincount's weights need)

@@ -518,6 +518,34 @@ def test_replica_files_thread_invariant(tmp_path, mode, files, extra):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
+def test_replica_rows_on_disk_before_next_job(tmp_path, monkeypatch):
+    """Each replica's rows reach the table files as its job returns: when the
+    job of replica r starts, giant.csv and joint.csv already hold their
+    header and the rows of replicas 0..r-1, and nothing more."""
+    out = tmp_path / "out"
+    names = ("giant.csv", "joint.csv")
+    on_disk = []
+    job = cli._JOBS["giant"]
+
+    def reading_job(exp, replica):
+        on_disk.append({n: (out / n).read_text() if (out / n).exists() else None for n in names})
+        return job(exp, replica)
+
+    monkeypatch.setitem(cli._JOBS, "giant", reading_job)
+    cfg = write_config(
+        tmp_path, "cfg.json", inputs=ESTAR_INPUTS, target_n=500, replicas=4, seed=5,
+        out_dir=str(out),
+    )
+    assert run(cfg, mode="giant") == 0
+    assert on_disk[0] == dict.fromkeys(names)
+    for name in names:
+        header, *rows = (out / name).read_text().splitlines(keepends=True)
+        assert {int(row.split(",")[1]) for row in rows} == {0, 1, 2, 3}
+        for r in range(1, 4):
+            before = [row for row in rows if int(row.split(",")[1]) < r]
+            assert on_disk[r][name] == header + "".join(before), (name, r)
+
+
 def test_trajectory_csv_matches_exploration(tmp_path):
     """The written trajectory, parsed back, equals the exploration drawn
     directly from the same (seed, replica, role) streams."""

@@ -19,6 +19,7 @@ from rigclab import (
     empirical_l_pmf,
     generate_bcm,
     project_rigc,
+    rigc_components,
     sample_params,
 )
 from rigclab.errors import (
@@ -133,7 +134,8 @@ def test_projection_mass_and_handshake(p_estar, cat_estar):
     bcm = generate_bcm(params, philox(6, 0, 1))
     rigc = project_rigc(bcm, params.communities)
     total_edges = sum(g.edge_count for g in params.communities)
-    assert rigc.total_multiplicity() == total_edges
+    assert len(rigc.edge_u) == len(rigc.edge_v) == total_edges
+    assert rigc.edge_u.dtype == rigc.edge_v.dtype == bcm.holder.dtype == np.int32
     assert rigc.projected_degrees().sum() == 2 * total_edges
 
 
@@ -235,6 +237,7 @@ def test_contract_degree_sequence_preserved(k2):
     for seed in range(5):
         bcm = generate_bcm(params, philox(11, seed))
         cm = contract_to_cm(bcm)
+        assert len(cm.edge_u) == 4  # one unit per group, loops and repeats kept
         assert cm.projected_degrees().tolist() == [2, 4, 2]
 
 
@@ -267,7 +270,23 @@ def test_bcm_rejects_other_non_bijections(matching):
 )
 def test_rigc_rejects_out_of_range_ids(u, v):
     with pytest.raises(OutOfRange):
-        RigcGraph(3, np.array(u), np.array(v), np.ones(len(u), dtype=np.int64))
+        RigcGraph(3, np.array(u), np.array(v))
+
+
+@pytest.mark.parametrize(
+    "u,v", [([0, 1], [1]), ([1], [0, 2]), ([0.0, 1.0], [1.0, 2.0]), ([0, 1], [1.0, 2.0])],
+    ids=["longer-u", "shorter-u", "float", "float-v"],
+)
+def test_rigc_rejects_malformed_ends(u, v):
+    with pytest.raises(OutOfDomain):
+        RigcGraph(3, u, v)
+
+
+def test_rigc_ends_of_two_integer_dtypes_share_int64():
+    # uint64 and int64 indices would meet in float64, which cannot index
+    g = RigcGraph(4, np.array([0, 2], dtype=np.uint64), np.array([1, 3], dtype=np.int64))
+    assert g.edge_u.dtype == g.edge_v.dtype == np.int64
+    assert rigc_components(g).tolist() == [0, 0, 1, 1]
 
 
 def test_aggregate_edges_int32_pair_codes_beyond_2_31():
@@ -276,9 +295,14 @@ def test_aggregate_edges_int32_pair_codes_beyond_2_31():
     u = np.array([99_999, 5, 70_000, 99_998], dtype=np.int32)
     v = np.array([99_998, 99_999, 80_000, 99_999], dtype=np.int32)
     assert int(u.max()) * n > 2**31
-    graph = _aggregate_edges(n, u, v)
-    assert graph.multiplicities() == {(5, 99_999): 1, (70_000, 80_000): 1, (99_998, 99_999): 2}
-    assert graph.edge_u.dtype == graph.edge_v.dtype == np.int64
+    lo, hi, mult = _aggregate_edges(n, u, v)
+    assert lo.tolist() == [5, 70_000, 99_998]
+    assert hi.tolist() == [99_999, 80_000, 99_999]
+    assert mult.tolist() == [1, 1, 2]
+    assert lo.dtype == hi.dtype == np.int64
+    assert RigcGraph(n, u, v).multiplicities() == {
+        (5, 99_999): 1, (70_000, 80_000): 1, (99_998, 99_999): 2
+    }
 
 
 def test_bcm_rejects_empty_group():

@@ -43,8 +43,10 @@ def k3_rigc(seed=1):
 def test_percolate_graph_extremes():
     g = k3_rigc()
     rng = philox(2)
-    assert percolate_rigc_graph(g, 1.0, rng).multiplicities() == g.multiplicities()
-    assert percolate_rigc_graph(g, 0.0, rng).total_multiplicity() == 0
+    kept = percolate_rigc_graph(g, 1.0, rng)
+    assert kept.edge_u.tolist() == g.edge_u.tolist()
+    assert kept.edge_v.tolist() == g.edge_v.tolist()
+    assert len(percolate_rigc_graph(g, 0.0, rng).edge_u) == 0
     with pytest.raises(OutOfDomain):
         percolate_rigc_graph(g, 1.5, rng)
 
@@ -52,7 +54,7 @@ def test_percolate_graph_extremes():
 def test_percolate_graph_binomial_mean():
     g = k3_rigc()
     rng = philox(3)
-    total = sum(percolate_rigc_graph(g, 0.5, rng).total_multiplicity() for _ in range(100_000))
+    total = sum(len(percolate_rigc_graph(g, 0.5, rng).edge_u) for _ in range(100_000))
     assert total / 100_000 == pytest.approx(1.5, abs=0.01)
 
 
@@ -333,18 +335,13 @@ def test_harris_sweep_grid_validation(p_estar, cat_estar):
 def sweep_oracle(graph, grid, rng):
     """(c1, c2, edges in giant) / N at every grid point, each point from scratch.
 
-    One variate per unit of multiplicity, units in edge order, as
-    ``harris_sweep`` documents; a unit is kept at pi when its variate is
-    <= pi.  A plain union-find whose root is always the lowest vertex of its
+    One variate per unit, units in gather order, as ``harris_sweep``
+    documents; a unit is kept at pi when its variate is <= pi.  A plain union-find whose root is always the lowest vertex of its
     component picks the largest component, ties to the lowest root (the
     lowest-vertex rule), and counts every kept unit, self-loops included, at
     its component.
     """
-    units = [
-        (u, v)
-        for u, v, m in zip(graph.edge_u.tolist(), graph.edge_v.tolist(), graph.edge_mult.tolist())
-        for _ in range(m)
-    ]
+    units = list(zip(graph.edge_u.tolist(), graph.edge_v.tolist()))
     coupling = rng.random(len(units)).tolist()
     n = graph.n_vertices
     out = []
@@ -376,9 +373,10 @@ def swept(graph, grid, rng):
 
 
 def rigc_of(n, edges):
-    """RigcGraph from (u, v, multiplicity) triples, in the given edge order."""
+    """RigcGraph from (u, v, multiplicity) triples: each triple becomes that
+    many units in a row, triples in the given order."""
     u, v, m = np.array(edges, dtype=np.int64).reshape(-1, 3).T
-    return RigcGraph(n_vertices=n, edge_u=u, edge_v=v, edge_mult=m)
+    return RigcGraph(n_vertices=n, edge_u=np.repeat(u, m), edge_v=np.repeat(v, m))
 
 
 def test_harris_sweep_matches_union_find_oracle():
@@ -404,7 +402,7 @@ def test_harris_sweep_oracle_on_loops_multi_edges_and_edgeless():
     for seed in range(20):
         for g in (loops, edgeless):
             # some points sit exactly on a unit's variate, where that unit is kept
-            on_units = philox(46, seed).random(g.total_multiplicity())[::4].tolist()
+            on_units = philox(46, seed).random(len(g.edge_u))[::4].tolist()
             grid = sorted(base + on_units)
             assert swept(g, grid, philox(46, seed)) == sweep_oracle(g, grid, philox(46, seed))
     assert swept(edgeless, [0, 1], philox(46)) == [(0.2, 0.2, 0.0)] * 2
@@ -428,6 +426,22 @@ def test_harris_sweep_subgrid_of_fine_grid(p_estar, cat_estar):
     picks = [0, 13, 40, 41, 99, 150, 200]
     full = swept(rigc, fine, philox(48, 0, 2))
     assert [full[i] for i in picks] == swept(rigc, [fine[i] for i in picks], philox(48, 0, 2))
+
+
+def test_percolate_graph_equals_sweep_point(p_estar, cat_estar):
+    """The graph route and a one-point sweep draw one variate per unit from
+    the same stream and keep the same units, so their giants agree exactly."""
+    graphs = [
+        rigc_of(9, [(0, 0, 3), (0, 5, 2), (1, 2, 1), (2, 2, 2), (3, 4, 4), (6, 7, 3)]),
+        rigc_of(5, []),
+    ]
+    for seed in range(4):
+        params = sample_params(p_estar, cat_estar, 500, philox(49, seed))
+        graphs.append(project_rigc(generate_bcm(params, philox(49, seed, 1)), params.communities))
+    for i, g in enumerate(graphs):
+        for pi in (0.0, 0.15, 0.3, 0.5, 0.8, 1.0):
+            graph_route = giant_stats_rigc(percolate_rigc_graph(g, pi, philox(50, i)))
+            assert graph_route == harris_sweep(g, [pi], philox(50, i))[0]
 
 
 def test_sizebiased_check_trivial(k3):
