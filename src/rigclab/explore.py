@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainHorizon, EmptyGrid, OutOfDomain
-from .model import BcmGraph, ModelParams
+from .model import BcmGraph, ModelParams, index_dtype
 from .theory import TheoryInputs, curve_table, q_tilde_zero
 
 try:
@@ -60,6 +60,10 @@ class Trajectory:
     column is built from them on first read.  Iteration j emits
     [Step1?] Step2 Step3^(d_j - 1), so the event skeleton follows from the
     discovery order; the logs supply everything it does not determine.
+
+    The matching, the logs, ``sigma``, ``l_owner``, ``d_seq`` and every
+    integer column take the index dtype of the matching (``kinds`` is int8,
+    the times float64): every count they hold is at most h + n_l.
     """
 
     n_l: int
@@ -84,12 +88,16 @@ class Trajectory:
             matching=self.matching,
         )
 
+    @property
+    def _idx(self) -> np.dtype:
+        return self.matching.dtype
+
     @cached_property
     def kinds(self) -> np.ndarray:
-        has1 = np.zeros(len(self.d_seq), dtype=np.int64)
+        has1 = np.zeros(len(self.d_seq), dtype=self._idx)
         has1[self.step1_iters] = 1
-        iter_start = np.zeros(len(self.d_seq) + 1, dtype=np.int64)
-        np.cumsum(self.d_seq + has1, out=iter_start[1:])
+        iter_start = np.zeros(len(self.d_seq) + 1, dtype=self._idx)
+        np.cumsum(self.d_seq + has1, dtype=self._idx, out=iter_start[1:])
         kinds = np.full(iter_start[-1], STEP3, dtype=np.int8)
         kinds[iter_start[:-1] + has1] = STEP2
         kinds[iter_start[self.step1_iters]] = STEP1
@@ -105,18 +113,18 @@ class Trajectory:
         one plus its skips; a skip beginning at ring index s belongs to the
         resolution whose ordinal is s minus the extras spent by earlier skips."""
         is3 = self.kinds == STEP3
-        rings = is3.astype(np.int64)
-        prior_extras = np.cumsum(self.skip_extras) - self.skip_extras
+        rings = is3.astype(self._idx)
+        prior_extras = np.cumsum(self.skip_extras, dtype=self._idx) - self.skip_extras
         rings[np.flatnonzero(is3)[self.skip_rings - prior_extras]] += self.skip_extras
-        return np.cumsum(rings)
+        return np.cumsum(rings, dtype=self._idx)
 
     @cached_property
     def _first_ring(self) -> np.ndarray:
         """Each vertex's first ring index, -1 if it never rang (no sort:
         reversed writes keep the first occurrence)."""
         owners = self.l_owner[self.sigma[: self.rung_total]]
-        first = np.full(self.n_l, -1, dtype=np.int64)
-        first[owners[::-1]] = np.arange(self.rung_total - 1, -1, -1)
+        first = np.full(self.n_l, -1, dtype=self._idx)
+        first[owners[::-1]] = np.arange(self.rung_total - 1, -1, -1, dtype=self._idx)
         return first
 
     @cached_property
@@ -124,7 +132,7 @@ class Trajectory:
         """Tokens woken per event.  Step-1 vertices wake at their Step-1 event;
         every other vertex at its first ring, always the resolving alarm of a
         Step 3."""
-        wake = np.zeros(len(self.kinds), dtype=np.int64)
+        wake = np.zeros(len(self.kinds), dtype=self._idx)
         wake[self._step1_pos] = self.l_degrees[self.step1_vertices]
         by_ring = self._first_ring >= 0
         by_ring[self.step1_vertices] = False
@@ -139,19 +147,19 @@ class Trajectory:
 
     @cached_property
     def living(self) -> np.ndarray:
-        return self.h - np.cumsum(self.kinds != STEP1)
+        return self.h - np.cumsum(self.kinds != STEP1, dtype=self._idx)
 
     @cached_property
     def sleeping(self) -> np.ndarray:
-        return self.h - np.cumsum(self._wake)
+        return self.h - np.cumsum(self._wake, dtype=self._idx)
 
     @cached_property
     def sleeping_hat(self) -> np.ndarray:
         """No-ring-yet census: whole families, Step-1 status notwithstanding."""
         rang = self._first_ring >= 0
-        drop = np.zeros(self.rung_total + 1, dtype=np.int64)
+        drop = np.zeros(self.rung_total + 1, dtype=self._idx)
         drop[self._first_ring[rang] + 1] = self.l_degrees[rang]
-        return self.h - np.cumsum(drop)[self._ring_cum]
+        return self.h - np.cumsum(drop, dtype=self._idx)[self._ring_cum]
 
     @cached_property
     def active(self) -> np.ndarray:
@@ -162,9 +170,9 @@ class Trajectory:
         """Group tokens left to pair: reset at each discovery, one fewer per
         alarm resolution, none at a Step 1."""
         is2 = self.kinds == STEP2
-        event_idx = np.arange(len(is2))
+        event_idx = np.arange(len(is2), dtype=self._idx)
         last2 = np.maximum.accumulate(np.where(is2, event_idx, -1))
-        base = np.zeros(len(is2), dtype=np.int64)
+        base = np.zeros(len(is2), dtype=self._idx)
         base[is2] = self.d_seq - 1
         waiting = base[np.maximum(last2, 0)] - (event_idx - last2)
         waiting[self._step1_pos] = 0
@@ -205,34 +213,42 @@ def run_exploration(
     runs compiled on the arrays when numba is importable and interpreted on
     ``memoryview``s of them otherwise; both consume the same presampled
     randomness and give the same output bit for bit.
+
+    Every index array of the loop, its inputs, buffers and logs alike, takes
+    ``index_dtype(h + n_l + n_r)``; the token status is int8, and the
+    uniforms and ring times are float64.  The random stream does not depend
+    on the dtype, so int32 and int64 runs are equal entry for entry.
     """
     if method not in ("race", "clocks"):
         raise OutOfDomain(f"unknown method {method!r}")
 
     h = params.half_edges
     n_l, n_r = params.n_l, params.n_r
+    idx = index_dtype(h + n_l + n_r)
     r_deg_arr = params.r_degrees()
 
-    l_owner_arr = np.repeat(np.arange(n_l), params.l_degrees)
-    l_off_arr = np.zeros(n_l + 1, dtype=np.int64)
-    np.cumsum(params.l_degrees, out=l_off_arr[1:])
-    r_off_arr = np.zeros(n_r + 1, dtype=np.int64)
-    np.cumsum(r_deg_arr, out=r_off_arr[1:])
+    l_owner_arr = np.repeat(np.arange(n_l, dtype=idx), params.l_degrees)
+    l_off_arr = np.zeros(n_l + 1, dtype=idx)
+    np.cumsum(params.l_degrees, dtype=idx, out=l_off_arr[1:])
+    r_off_arr = np.zeros(n_r + 1, dtype=idx)
+    np.cumsum(r_deg_arr, dtype=idx, out=r_off_arr[1:])
 
     # ring schedule: uniform order over all l-half-edges plus cumulative times
     if method == "race":
-        sigma_arr = rng.permutation(h)
+        # shuffling an arange draws exactly what rng.permutation(h) draws
+        sigma_arr = np.arange(h, dtype=idx)
+        rng.shuffle(sigma_arr)
         ring_time = np.cumsum(rng.exponential(size=h) / np.arange(h, 0, -1))
     else:
         alarms = rng.exponential(size=h)
-        sigma_arr = np.argsort(alarms, kind="stable")
+        sigma_arr = np.argsort(alarms, kind="stable").astype(idx)
         ring_time = alarms[sigma_arr]
 
     # group discovery order: size-biased without replacement
     keys = rng.exponential(size=n_r) / r_deg_arr
     r_order_arr = np.argsort(keys, kind="stable")
-    d_seq = r_deg_arr[r_order_arr]
-    first_labels = np.floor(rng.random(n_r) * d_seq).astype(np.int64)
+    d_seq = r_deg_arr[r_order_arr].astype(idx)
+    first_labels = np.floor(rng.random(n_r) * d_seq).astype(idx)
     bases = r_off_arr[r_order_arr]
 
     # component starts plus lazy-deletion rejections consume at most one
@@ -248,10 +264,12 @@ def run_exploration(
         bases,
         d_seq,
         uniforms,
-        np.arange(h),  # candidates
+        np.arange(h, dtype=idx),  # candidates
     )
-    # status, match, stack, the Step-1 log and the skip log: each starts zeroed
-    buffers = tuple(np.zeros(n, dtype=np.int64) for n in (h, h, h, n_l, n_l, h, h))
+    # status, then match, stack, the Step-1 log and the skip log: each starts zeroed
+    buffers = (np.zeros(h, dtype=np.int8),) + tuple(
+        np.zeros(n, dtype=idx) for n in (h, h, n_l, n_l, h, h)
+    )
     args = (*inputs, *buffers)
     n1, nskip, rung_total = _explore_loop(*(args if _HAVE_NUMBA else map(memoryview, args)))
     _, match, _, step1_iters, step1_vertices, skip_rings, skip_extras = buffers
@@ -287,8 +305,12 @@ def _explore_loop(
 
     ``candidates`` starts as 0..h-1; ``status`` (0 sleeping, 1 active,
     2 paired), ``match``, ``stack`` and the logs start zeroed, and the loop
-    writes every entry of ``match``.  Only index writes touch them, so the
-    same source runs under ``njit`` on arrays and interpreted on memoryviews.
+    writes every entry of ``match``.  ``status`` is int8, ``l_deg`` int64 and
+    ``uniforms`` float64; every other argument holds indices or counts below
+    h + n_l and shares one integer dtype, int32 or int64 as
+    ``model.index_dtype`` picks.  Only index writes touch the buffers, so the
+    same source runs under ``njit`` on arrays, compiled for the dtypes it is
+    given, and interpreted on memoryviews.
     """
     n_cand = len(candidates)
     top = 0

@@ -259,6 +259,10 @@ class RigcGraph:
     edge_v: np.ndarray
 
     def __post_init__(self):
+        n = self.n_vertices
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise OutOfDomain(f"n_vertices must be a positive integer, got {n!r}")
+        object.__setattr__(self, "n_vertices", int(n))
         u, v = np.asarray(self.edge_u), np.asarray(self.edge_v)
         if u.dtype.kind not in "iu" or v.dtype.kind not in "iu" or len(u) != len(v):
             raise OutOfDomain("edge ends must be two integer arrays of equal length")

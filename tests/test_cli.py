@@ -12,7 +12,7 @@ import pytest
 import rigclab
 from conftest import gilbert_component_counts, philox
 from rigclab import CommunityCatalog, Pmf, complete_graph, run_exploration, sample_params
-from rigclab import cli
+from rigclab import cli, model
 from rigclab.cli import DEFAULT_TOLERANCES, _column_rows, _write_csv, compare, run
 from rigclab.errors import KeyMismatch
 
@@ -785,6 +785,19 @@ def test_explore_mode(tmp_path):
     assert hit[0] == "c,tau,tau_theory"
     summary = (tmp_path / "out" / "explore_summary.csv").read_text().splitlines()
     assert len(summary) == 2
+
+
+def test_explore_files_identical_in_int64(tmp_path, monkeypatch):
+    """explore writes the same bytes when its index arrays are int64."""
+    base = dict(inputs=ESTAR_INPUTS, target_n=2_000, replicas=2, seed=17, t0=1.5)
+    outs = []
+    for limit in (model.INDEX32_LIMIT, 0):
+        monkeypatch.setattr(model, "INDEX32_LIMIT", limit)
+        out = tmp_path / f"limit{limit}"
+        assert run(write_config(tmp_path, "cfg.json", out_dir=str(out), **base), mode="explore") == 0
+        outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert "trajectory_r1.csv" in outs[0]
+    assert outs[0] == outs[1]
 
 
 def test_generate_mode(tmp_path):

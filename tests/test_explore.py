@@ -24,7 +24,7 @@ from rigclab import (
     trajectory_sup_error,
     zr_process,
 )
-from rigclab import explore
+from rigclab import explore, model
 from rigclab.errors import DomainHorizon, EmptyGrid, OutOfDomain
 from conftest import philox
 
@@ -146,6 +146,39 @@ def test_columns_independent_of_read_order(p_estar, cat_estar):
 
 
 LOGS = ("step1_iters", "step1_vertices", "skip_rings", "skip_extras")
+
+
+ARRAY_COLUMNS = tuple(name for name in COLUMNS if name != "component_records")
+#: columns whose dtype does not follow the index dtype
+FIXED_DTYPES = {"times": np.float64, "s1_times": np.float64, "s2_times": np.float64,
+                "kinds": np.int8}
+
+
+@pytest.mark.parametrize("method", ["race", "clocks"])
+def test_int64_exploration_equals_int32(k1, k2, k3, method, monkeypatch):
+    """With the int32 limit lowered to the instance's own index count, the
+    same exploration runs on int64 buffers: the matching, the logs, every
+    column and the component records equal the int32 run's."""
+    from rigclab import CommunityCatalog, Pmf
+
+    cat = CommunityCatalog([(k1, 0.2), (k2, 0.3), (k3, 0.5)])
+    params = sample_params(Pmf({1: 0.4, 2: 0.3, 4: 0.3}), cat, 3_000, philox(58))
+    count = params.half_edges + params.n_l + params.n_r
+    runs = []
+    for limit, dtype in ((count + 1, np.int32), (count, np.int64)):
+        monkeypatch.setattr(model, "INDEX32_LIMIT", limit)
+        traj = run_exploration(params, philox(59), method=method)
+        for name in ("matching", "sigma", "l_owner", "d_seq", *LOGS):
+            assert getattr(traj, name).dtype == dtype, name
+        for name in ARRAY_COLUMNS:
+            assert getattr(traj, name).dtype == FIXED_DTYPES.get(name, dtype), name
+        runs.append(traj)
+    narrow, wide = runs
+    assert len(narrow.skip_rings) > 0 and len(narrow.step1_iters) > 1
+    for name in ("matching", "sigma", *LOGS, *ARRAY_COLUMNS):
+        np.testing.assert_array_equal(getattr(narrow, name), getattr(wide, name), err_msg=name)
+    assert narrow.rung_total == wide.rung_total
+    assert narrow.component_records == wide.component_records
 
 
 def test_logs_own_their_memory(p_estar, cat_estar):

@@ -289,6 +289,22 @@ def test_rigc_ends_of_two_integer_dtypes_share_int64():
     assert rigc_components(g).tolist() == [0, 0, 1, 1]
 
 
+@pytest.mark.parametrize(
+    "n", [0, -1, 2.5, 3.0, True, np.bool_(True)],
+    ids=["zero", "negative", "fractional", "float", "bool", "numpy-bool"],
+)
+def test_rigc_rejects_bad_vertex_count(n):
+    ends = np.array([], dtype=np.int64)
+    with pytest.raises(OutOfDomain):
+        RigcGraph(n, ends, ends)
+
+
+def test_rigc_accepts_numpy_integer_vertex_count():
+    g = RigcGraph(np.int64(3), np.array([0]), np.array([2]))
+    assert g.n_vertices == 3 and type(g.n_vertices) is int
+    assert rigc_components(g).tolist() == [0, 1, 0]
+
+
 def test_aggregate_edges_int32_pair_codes_beyond_2_31():
     # lo * n + hi reaches about 1e10: int32 ends must still give the right pairs
     n = 100_000
