@@ -58,7 +58,6 @@ from .model import (
     sample_params,
 )
 from .percolation import (
-    PercolatedCatalog,
     build_com_pi,
     critical_pi,
     critical_pi_bracket,

@@ -396,8 +396,8 @@ def _job_percolate(exp: Experiment, replica: int) -> dict:
     pieces = perc_mod.build_com_pi(params.communities, pi, stream(exp.seed, replica, ROLE_COM_PI))
     params_b = build_params(params.l_degrees, pieces)
     bcm_b = generate_bcm(params_b, stream(exp.seed, replica, ROLE_MATCH_B))
-    rigc_b = project_rigc(bcm_b, params_b.communities)
-    stats_b = giant_stats_rigc(rigc_b)
+    # only the graph route projects: the communities route reads its matching
+    stats_b = giant_stats_rigc_from_bcm(bcm_b, pieces, bcm_components(bcm_b))
 
     rows = [
         (exp.seed, replica, params.n_l, pi, "graph", stats_a.c1_fraction,

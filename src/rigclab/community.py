@@ -8,8 +8,9 @@ closed-form predictions consume.
 Percolation on one community is exact in two ways.  ``percolate_enumerate``
 walks all 2^|E| edge subsets and names each component's shape; it serves the
 percolated catalog.  ``size_census`` counts, per vertex subset, the edge
-subsets that make it a component; it serves every formula that needs only
-component sizes.
+subsets that make it a component; it serves the expected component counts
+per size, from which the percolated size law, and with it the percolated
+giant and the critical retention probability, follow.
 """
 from __future__ import annotations
 
@@ -532,11 +533,6 @@ class ComponentSizeCensus:
             raise OutOfDomain(f"pi={pi} outside [0, 1]")
         w = self._count * pi**self._kept * (1.0 - pi) ** self._dropped
         return np.bincount(self._size, weights=w, minlength=self.n + 1)
-
-    def mean_root_component_minus_one(self, pi: float) -> float:
-        """E[|C(root)| - 1] for a uniformly chosen root vertex."""
-        s = np.arange(self.n + 1)
-        return float(self.expected_counts(pi) @ (s * (s - 1))) / self.n
 
     def mean_component_count(self, pi: float) -> float:
         return float(self.expected_counts(pi).sum())

@@ -117,9 +117,9 @@ def sample_params(
 
     Communities are drawn iid until their total vertex count reaches
     ceil(target_n * E[degree]); degrees are drawn iid until their running sum
-    covers that count, the final degree is trimmed (kept >= 1), and any
-    residual deficit is filled with degree-1 individuals so the two half-edge
-    totals balance exactly.
+    first covers that count, and the final degree is trimmed by the excess so
+    the two half-edge totals balance exactly.  The sum before the final draw
+    fell short of the count, so the trimmed degree stays >= 1.
     """
     if target_n < 1:
         raise EmptySupport(f"target_n must be >= 1, got {target_n}")
@@ -135,13 +135,7 @@ def sample_params(
     values = np.array(l_pmf.values, dtype=np.int64)
     idx, s = _draw_until(h, values, np.array(l_pmf.weights), l_pmf.mean(), rng)
     degs = values[idx]
-    excess = s - h
-    if excess > 0:
-        trimmed = max(1, int(degs[-1]) - excess)
-        s -= int(degs[-1]) - trimmed
-        degs[-1] = trimmed
-    # unreachable under iid draws (excess <= last degree - 1), kept as a guard
-    degs = np.concatenate([degs, np.ones(h - s, dtype=np.int64)])
+    degs[-1] -= s - h
 
     return build_params(degs, CommunityList(shapes, type_index))
 

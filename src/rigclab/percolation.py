@@ -2,12 +2,13 @@
 
 Percolating the graph is distributionally the same as percolating every
 community and regenerating with the split components as the new community
-list.  The percolated giant then needs only the percolated size law, and
-the critical retention probability only each role's expected component size.
-Both come from each shape's exact component-size census
-(``community.size_census``) as sums of nonnegative terms: the theory path
-never enumerates edge subsets or names component shapes.  Only the limiting
-percolated catalog (``mu_pi_limit``), which does name shapes, enumerates.
+list: the percolated model is again a RIGC, with size law q_pi.  Its giant
+and its criticality, whose crossing of one is the critical retention
+probability, are the unpercolated formulas read on (p, q_pi).  q_pi comes
+from each shape's exact component-size census (``community.size_census``)
+as sums of nonnegative terms: the theory path never enumerates edge subsets
+or names component shapes.  Only the limiting percolated catalog
+(``mu_pi_limit``), which does name shapes, enumerates.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ from .community import (
     CommunityCatalog,
     CommunityGraph,
     CommunityList,
-    ComponentSizeCensus,
     check_census_cap,
     component_members,
     percolate_enumerate,
@@ -28,11 +28,11 @@ from .community import (
     size_census,
     split_components,
 )
-from .components import GiantStats, _labels, _largest_label, _second_largest
+from .components import GiantStats, _giant_stats, _labels, _largest_label
 from .errors import NotSupercritical, OutOfDomain
 from .model import RigcGraph
 from .pmf import Pmf
-from .theory import GiantPrediction, TheoryInputs, giant_prediction
+from .theory import GiantPrediction, TheoryInputs, check_regime, giant_prediction
 
 
 def percolate_rigc_graph(
@@ -109,22 +109,13 @@ def build_com_pi(
     return CommunityList(piece_ids, np.array(table, dtype=np.int64)[positions])
 
 
-@dataclass(frozen=True)
-class PercolatedCatalog:
-    """Limiting catalog of the percolated community list."""
-
-    pi: float
-    catalog_pi: CommunityCatalog
-    mean_size_pi: float
-
-
-def mu_pi_limit(catalog: CommunityCatalog, pi: float) -> PercolatedCatalog:
+def mu_pi_limit(catalog: CommunityCatalog, pi: float) -> CommunityCatalog:
     """Exact limiting frequency of every percolated component shape.
 
     Component frequencies are per *new* community: each original community
     contributes kappa(H | outcome) copies of shape H, and the normalizer is
-    the expected number of split pieces per original community.  The mean
-    percolated size follows from vertex conservation.
+    the expected number of split pieces per original community, so the
+    catalog's ``mean_size()`` is the mean percolated community size.
     """
     numerator: dict = {}
     rep: dict = {}
@@ -137,54 +128,31 @@ def mu_pi_limit(catalog: CommunityCatalog, pi: float) -> PercolatedCatalog:
                 numerator[key] = numerator.get(key, 0.0) + w * prob
                 if key not in rep:
                     rep[key] = profile.components_by_key[key]
-    items = [(rep[k], mass / denominator) for k, mass in numerator.items()]
-    return PercolatedCatalog(
-        pi=pi,
-        catalog_pi=CommunityCatalog(items),
-        mean_size_pi=catalog.mean_size() / denominator,
-    )
+    return CommunityCatalog((rep[k], mass / denominator) for k, mass in numerator.items())
 
 
-def _catalog_censuses(catalog: CommunityCatalog) -> list[tuple[float, ComponentSizeCensus]]:
-    """(weight, size census) per catalog shape; every shape is checked against
-    the census cap before any census is built."""
-    check_census_cap(g for g, _ in catalog.items)
-    return [(w, size_census(g)) for g, w in catalog.items]
+def _percolated_inputs(p: Pmf, catalog: CommunityCatalog, pi: float) -> TheoryInputs:
+    """Theory inputs of the percolated model: (p, q_pi), where q_pi, the size
+    law of a uniform piece of the percolated community list, is proportional
+    to sum_g w_g E_g[#components of size s].
 
-
-def _percolated_size_law(catalog: CommunityCatalog, pi: float) -> Pmf:
-    """q_pi: the size law of a uniform piece of the percolated community list.
-
-    Each original community contributes its expected number of pieces of
-    each size, so q_pi(s) is proportional to sum_g w_g E_g[#components of
-    size s].
+    The fixed point and the criticality read only the two size laws, so the
+    percolated size law stands in for the percolated catalog.
     """
-    censuses = _catalog_censuses(catalog)
+    check_census_cap(g for g, _ in catalog.items)  # every shape, before any census
+    censuses = [(w, size_census(g)) for g, w in catalog.items]
     acc = np.zeros(max(c.n for _, c in censuses) + 1)
     for w, census in censuses:
         acc[: census.n + 1] += w * census.expected_counts(pi)
-    return Pmf(dict(enumerate((acc / acc.sum()).tolist())))
+    return TheoryInputs.from_p_q(p, Pmf(dict(enumerate((acc / acc.sum()).tolist()))))
 
 
 def percolated_prediction(p: Pmf, catalog: CommunityCatalog, pi: float) -> GiantPrediction:
-    """Giant prediction for retention pi: the fixed point on (p, q_pi).
-
-    The fixed point reads only the two size laws, so the percolated size law
-    stands in for the percolated catalog.
-    """
-    return giant_prediction(TheoryInputs.from_p_q(p, _percolated_size_law(catalog, pi)))
+    """Giant prediction for retention pi: the fixed point on (p, q_pi)."""
+    return giant_prediction(_percolated_inputs(p, catalog, pi))
 
 
 # -- critical retention probability ---------------------------------------------
-
-
-def _supercriticality_gap(p_tilde_mean: float, catalog: CommunityCatalog, pi: float) -> float:
-    """E[tilted membership] * E[|H| (|C(root, pi)| - 1)] / E[|H|] - 1, exactly."""
-    mean_size = catalog.mean_size()
-    acc = 0.0
-    for w, census in _catalog_censuses(catalog):
-        acc += w * census.n * census.mean_root_component_minus_one(pi)
-    return p_tilde_mean * acc / mean_size - 1.0
 
 
 def critical_pi_bracket(
@@ -192,25 +160,26 @@ def critical_pi_bracket(
 ) -> tuple[float, float]:
     """Bisection bracket around the critical retention probability.
 
-    The supercriticality gap is nondecreasing in pi (Harris monotonicity), so
-    bisection is exact.  Returns (0, 0) in the robust regime where every
-    positive retention is already supercritical.  Whether the threshold
-    itself is supercritical is left undecided; only the bracket is reported.
-    Every shape must have at most ``CENSUS_MAX_VERTICES`` vertices; a larger
-    one raises ``TooManyVertices`` before any census is built.
+    The criticality of (p, q_pi) is nondecreasing in pi (Harris
+    monotonicity), so bisection is exact; no fixed point is solved.  Returns
+    (0, 0) in the robust regime where every positive retention is already
+    supercritical.  Whether the threshold itself is supercritical is left
+    undecided; only the bracket is reported.  Every shape must have at most
+    ``CENSUS_MAX_VERTICES`` vertices; a larger one raises ``TooManyVertices``
+    before any census is built.
     """
-    base = giant_prediction(TheoryInputs.from_p_q(p, catalog.size_pmf()))
-    if not base.supercritical:
+    base = TheoryInputs.from_p_q(p, catalog.size_pmf())
+    check_regime(base)
+    if base.criticality <= 1.0:
         raise NotSupercritical("unpercolated inputs must be supercritical")
-    p_tilde_mean = p.size_bias().shift_down_one().mean()
     lo, hi = 0.0, 1.0
-    if _supercriticality_gap(p_tilde_mean, catalog, 1e-12) > 0.0:
+    if _percolated_inputs(p, catalog, 1e-12).criticality > 1.0:
         return (0.0, 0.0)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break  # adjacent floats: no tol can shrink the bracket further
-        if _supercriticality_gap(p_tilde_mean, catalog, mid) > 0.0:
+        if _percolated_inputs(p, catalog, mid).criticality > 1.0:
             hi = mid
         else:
             lo = mid
@@ -274,16 +243,7 @@ def harris_sweep(
             kept = np.bincount(merged, weights=kept + np.bincount(cu, minlength=len(kept)))
             label = merged[label]
             start = end
-        giant = _largest_label(sizes)
-        out.append(
-            GiantStats(
-                n_vertices=n,
-                c1_fraction=int(sizes[giant]) / n,
-                c2_fraction=_second_largest(sizes) / n,
-                joint_in_giant={},
-                edges_in_giant_per_N=int(kept[giant]) / n,
-            )
-        )
+        out.append(_giant_stats(n, sizes, {}, int(kept[_largest_label(sizes)])))
     return out
 
 

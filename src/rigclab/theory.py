@@ -60,6 +60,12 @@ class TheoryInputs:
             cls.from_p_q(p, catalog.size_pmf()), catalog=catalog, rho=catalog.cdeg_pmf()
         )
 
+    @property
+    def criticality(self) -> float:
+        """E[p~] E[q~], the mean grandchild count: a giant exists exactly
+        when it exceeds one."""
+        return self.p_tilde.mean() * self.q_tilde.mean()
+
     def shapes(self) -> CommunityCatalog:
         """The catalog, for the formulas that need community shapes."""
         if self.catalog is None:
@@ -87,21 +93,26 @@ class GiantPrediction:
         }
 
 
+def check_regime(inputs: TheoryInputs) -> None:
+    """Raise ``ExcludedRegime`` in the almost-2-regular regime, where the
+    largest component is not concentrated."""
+    if inputs.p.prob(2) + inputs.q.prob(2) >= 2.0 - EXCLUDED_REGIME_TOL:
+        raise ExcludedRegime(
+            "both degree laws are (almost surely) 2: largest component not concentrated"
+        )
+
+
 def solve_eta_l(inputs: TheoryInputs) -> float:
     """Smallest fixed point of the composed tilted PGFs, iterated up from 0.
 
     The composition is itself a PGF (of the grandchild offspring count), so
     iteration from 0 increases monotonically to the smallest fixed point.
-    Whenever the mean grandchild count is at most one, that fixed point is
-    exactly 1 and is returned as such; the almost-2-regular regime, where the
-    largest component is not concentrated, is rejected outright.
+    Whenever the criticality is at most one, that fixed point is exactly 1
+    and is returned as such; the almost-2-regular regime is rejected
+    outright (``check_regime``).
     """
-    p2q2 = inputs.p.prob(2) + inputs.q.prob(2)
-    if p2q2 >= 2.0 - EXCLUDED_REGIME_TOL:
-        raise ExcludedRegime(
-            "both degree laws are (almost surely) 2: largest component not concentrated"
-        )
-    if inputs.p_tilde.mean() * inputs.q_tilde.mean() <= 1.0:
+    check_regime(inputs)
+    if inputs.criticality <= 1.0:
         return 1.0
     eta = 0.0
     for _ in range(FIXED_POINT_MAX_ITER):
@@ -114,7 +125,7 @@ def solve_eta_l(inputs: TheoryInputs) -> float:
 
 def giant_prediction(inputs: TheoryInputs) -> GiantPrediction:
     eta_l = solve_eta_l(inputs)
-    criticality = inputs.p_tilde.mean() * inputs.q_tilde.mean()
+    criticality = inputs.criticality
     if criticality <= 1.0:
         # no giant: extinction is certain and the survival fractions vanish
         return GiantPrediction(

@@ -43,7 +43,8 @@ def test_theory_mode_reference_values(tmp_path):
     assert header == "z,sleeping,living,active"
 
 
-def test_theory_mode_excluded_regime_exit_3(tmp_path, capsys):
+@pytest.mark.parametrize("mode", ["theory", "pi-c"])
+def test_theory_mode_excluded_regime_exit_3(tmp_path, capsys, mode):
     cfg = write_config(
         tmp_path,
         "cfg.json",
@@ -53,8 +54,9 @@ def test_theory_mode_excluded_regime_exit_3(tmp_path, capsys):
         },
         out_dir=str(tmp_path / "out"),
     )
-    assert run(cfg, mode="theory") == 3
+    assert run(cfg, mode=mode) == 3
     assert "ExcludedRegime" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
 
 def test_config_validation_exit_2(tmp_path, capsys):

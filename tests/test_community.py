@@ -9,6 +9,7 @@ from rigclab import (
     CommunityCatalog,
     CommunityGraph,
     CommunityList,
+    Pmf,
     canonical_key,
     complete_graph,
     cycle_graph,
@@ -25,6 +26,15 @@ from rigclab.errors import (
     TooManyEdges,
     TooManyVertices,
 )
+from rigclab.percolation import _percolated_inputs
+
+
+def root_component_minus_one(graph, pi):
+    """E[|C(root)| - 1] for a uniform root of ``graph`` percolated at pi, read
+    as the mean of the tilted percolated size law of a one-shape catalog:
+    E[S(S - 1)] / E[S] over pieces is the root's mean component size less one."""
+    catalog = CommunityCatalog([(graph, 1.0)])
+    return _percolated_inputs(Pmf({1: 1.0}), catalog, pi).q_tilde.mean()
 
 
 def random_connected_graph(rng, n):
@@ -185,7 +195,7 @@ def test_percolate_enumerate_pi_one(k3):
     (outcome, prob), = prof.outcomes
     assert prob == pytest.approx(1.0)
     assert outcome == (canonical_key(k3),)
-    assert size_census(k3).mean_root_component_minus_one(1.0) == pytest.approx(2.0)
+    assert root_component_minus_one(k3, 1.0) == pytest.approx(2.0)
     assert size_census(k3).mean_component_count(1.0) == pytest.approx(1.0)
 
 
@@ -198,12 +208,12 @@ def test_percolate_enumerate_half(k3, p3, k2, k1):
     assert by_key[(canonical_key(k1),) * 3] == pytest.approx(0.125)
     assert size_census(k3).mean_component_count(0.5) == pytest.approx(1.625)
     # closed form for the mean root component: 2(pi + pi^2 - pi^3)
-    assert size_census(k3).mean_root_component_minus_one(0.5) == pytest.approx(1.25)
+    assert root_component_minus_one(k3, 0.5) == pytest.approx(1.25)
 
 
 @pytest.mark.parametrize("pi", [0.1, 0.3, 0.7, 0.9])
 def test_k3_root_component_closed_form(k3, pi):
-    assert size_census(k3).mean_root_component_minus_one(pi) == pytest.approx(
+    assert root_component_minus_one(k3, pi) == pytest.approx(
         2 * (pi + pi**2 - pi**3), abs=1e-12
     )
 
@@ -245,7 +255,7 @@ def test_root_component_monotone_in_pi():
     grid = np.linspace(0.0, 1.0, 11)
     for _ in range(8):
         g = random_connected_graph(rng, int(rng.integers(2, 6)))
-        values = [size_census(g).mean_root_component_minus_one(float(pi)) for pi in grid]
+        values = [root_component_minus_one(g, float(pi)) for pi in grid]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -362,16 +372,16 @@ def brute_force_component_counts(n, edges):
 
 
 def assert_census_matches(graph, pi, expected):
-    """The census's per-size expected counts, mean root component minus one
-    and mean component count agree with ``expected`` (sizes 0..n) to 1e-12,
-    and none is negative."""
+    """The census's per-size expected counts, the mean root component minus
+    one read off the percolated size law, and the mean component count agree
+    with ``expected`` (sizes 0..n) to 1e-12, and none is negative."""
     census = size_census(graph)
     n = graph.n
     counts = census.expected_counts(pi)
     assert counts.shape == (n + 1,)
     assert np.all(counts >= 0.0)
     assert counts.tolist() == pytest.approx(expected, abs=1e-12)
-    root = census.mean_root_component_minus_one(pi)
+    root = root_component_minus_one(graph, pi)
     assert root >= 0.0
     assert root == pytest.approx(sum(c * s * (s - 1) for s, c in enumerate(expected)) / n, abs=1e-12)
     total = census.mean_component_count(pi)

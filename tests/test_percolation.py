@@ -1,3 +1,4 @@
+import itertools
 import json
 from collections import Counter
 
@@ -30,7 +31,8 @@ from rigclab import (
     sample_params,
     sizebiased_comsize_check,
 )
-from rigclab.errors import NotSupercritical, OutOfDomain
+from rigclab.errors import ExcludedRegime, NotSupercritical, OutOfDomain
+from rigclab.percolation import _percolated_inputs
 from conftest import bisect_eta, philox
 
 
@@ -145,34 +147,43 @@ def test_build_com_pi_type_frequencies(k3, p3, k2, k1):
 
 def test_mu_pi_limit_exact(k3, p3, k2, k1, cat_estar):
     pc = mu_pi_limit(cat_estar, 0.5)
-    weights = {canonical_key(g): w for g, w in pc.catalog_pi.items}
+    weights = {canonical_key(g): w for g, w in pc.items}
     assert weights[canonical_key(k3)] == pytest.approx(0.0769231, abs=1e-6)
     assert weights[canonical_key(p3)] == pytest.approx(0.2307692, abs=1e-6)
     assert weights[canonical_key(k2)] == pytest.approx(0.2307692, abs=1e-6)
     assert weights[canonical_key(k1)] == pytest.approx(0.4615385, abs=1e-6)
-    assert pc.mean_size_pi == pytest.approx(3 / 1.625, abs=1e-10)
-    assert sum(w for _, w in pc.catalog_pi.items) == pytest.approx(1.0, abs=1e-10)
+    assert pc.mean_size() == pytest.approx(3 / 1.625, abs=1e-10)
+    assert sum(w for _, w in pc.items) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_mu_pi_limit_extremes(cat_estar, k1):
     full = mu_pi_limit(cat_estar, 1.0)
-    assert full.catalog_pi == cat_estar
-    assert full.mean_size_pi == pytest.approx(3.0)
+    assert full == cat_estar
+    assert full.mean_size() == pytest.approx(3.0)
     empty = mu_pi_limit(cat_estar, 0.0)
-    assert [(g.n, w) for g, w in empty.catalog_pi.items] == [(1, 1.0)]
-    assert empty.mean_size_pi == pytest.approx(1.0)
+    assert [(g.n, w) for g, w in empty.items] == [(1, 1.0)]
+    assert empty.mean_size() == pytest.approx(1.0)
 
 
 def test_mu_pi_mass_balance(cat_estar):
-    # mean percolated size times the expected split count per original
-    # community (computed independently from the component-size census)
-    # equals the original mean size
+    # against the component-size census, computed without enumeration: the
+    # enumerated weight of each piece size is the census's expected count of
+    # that size over the expected split count per original community, and
+    # the mean percolated size times that split count is the original mean
+    # size (vertex conservation)
     from rigclab import size_census
 
-    for pi in (0.2, 0.5, 0.8):
-        pc = mu_pi_limit(cat_estar, pi)
-        splits = sum(w * size_census(g).mean_component_count(pi) for g, w in cat_estar.items)
-        assert pc.mean_size_pi * splits == pytest.approx(cat_estar.mean_size(), abs=1e-10)
+    for cat, pi in itertools.product([cat_estar, mixed_catalog()], (0.2, 0.5, 0.8)):
+        pc = mu_pi_limit(cat, pi)
+        counts = sum(
+            w * np.pad(size_census(g).expected_counts(pi), (0, 8 - g.n)) for g, w in cat.items
+        )
+        splits = counts.sum()
+        by_size = np.zeros(9)
+        for g, w in pc.items:
+            by_size[g.n] += w
+        assert by_size.tolist() == pytest.approx((counts / splits).tolist(), abs=1e-12)
+        assert pc.mean_size() * splits == pytest.approx(cat.mean_size(), abs=1e-10)
 
 
 def test_mu_pi_limit_matches_empirical_mixed_catalog(k2, p3):
@@ -189,10 +200,10 @@ def test_mu_pi_limit_matches_empirical_mixed_catalog(k2, p3):
         key = canonical_key(g)
         counts[key] = counts.get(key, 0) + 1
     total = len(pieces)
-    for g, w in pc.catalog_pi.items:
+    for g, w in pc.items:
         assert counts.get(canonical_key(g), 0) / total == pytest.approx(w, abs=0.01)
     emp_mean_size = sum(g.n for g in pieces) / total
-    assert emp_mean_size == pytest.approx(pc.mean_size_pi, abs=0.02)
+    assert emp_mean_size == pytest.approx(pc.mean_size(), abs=0.02)
 
 
 def test_percolated_prediction_reduces_at_one(p_estar, cat_estar, inputs_estar):
@@ -211,8 +222,7 @@ def test_percolated_prediction_extremes(p_estar, cat_estar):
 
 
 def test_percolated_prediction_against_oracle(p_estar, cat_estar):
-    pc = mu_pi_limit(cat_estar, 0.5)
-    inputs = TheoryInputs.from_p_catalog(p_estar, pc.catalog_pi)
+    inputs = TheoryInputs.from_p_catalog(p_estar, mu_pi_limit(cat_estar, 0.5))
     assert percolated_prediction(p_estar, cat_estar, 0.5).eta_l == pytest.approx(
         bisect_eta(inputs), abs=1e-9
     )
@@ -241,7 +251,7 @@ def test_theory_path_does_no_enumeration(monkeypatch):
     pis = (0.1, 0.3, 0.77)
     # reference: the fixed point on the enumerated percolated catalog
     reference = [
-        giant_prediction(TheoryInputs.from_p_catalog(p, mu_pi_limit(catalog, pi).catalog_pi))
+        giant_prediction(TheoryInputs.from_p_catalog(p, mu_pi_limit(catalog, pi)))
         for pi in pis
     ]
 
@@ -297,19 +307,70 @@ def test_critical_pi_bracket_contains_root(p_estar, cat_estar):
     assert lo <= 0.2776482755 <= hi
 
 
-def test_supercriticality_gap_monotone(p_estar):
-    from rigclab.percolation import _supercriticality_gap
-
+def test_percolated_criticality_monotone(p_estar):
+    # Harris monotonicity, which the bisection for pi_c relies on
     rng = np.random.default_rng(41)
     cats = [
         CommunityCatalog([(complete_graph(3), 1.0)]),
         CommunityCatalog([(complete_graph(2), 0.5), (complete_graph(4), 0.5)]),
+        mixed_catalog(),
     ]
-    ptm = p_estar.size_bias().shift_down_one().mean()
+    grid = np.linspace(0.0, 1.0, 11)
     for cat in cats:
-        grid = np.linspace(0.0, 1.0, 11)
-        vals = [_supercriticality_gap(ptm, cat, float(pi)) for pi in grid]
+        vals = [_percolated_inputs(p_estar, cat, float(pi)).criticality for pi in grid]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+        assert vals[0] == 0.0
+        assert vals[-1] == pytest.approx(
+            TheoryInputs.from_p_q(p_estar, cat.size_pmf()).criticality, abs=1e-12
+        )
+    for _ in range(8):
+        shapes = [complete_graph(4), cycle_graph(5), path_graph(3), complete_graph(2)]
+        picks = rng.choice(len(shapes), size=int(rng.integers(1, 4)), replace=False)
+        w = rng.random(len(picks)) + 0.1
+        cat = CommunityCatalog([(shapes[i], x / w.sum()) for i, x in zip(picks, w)])
+        vals = [_percolated_inputs(p_estar, cat, float(pi)).criticality for pi in grid]
+        assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+def test_k3_percolated_criticality_closed_form(p_estar, cat_estar):
+    # on triangles E[p~] = 3/2 and E[q~_pi] = 2(pi + pi^2 - pi^3)
+    for pi in (0.1, 0.3, 0.7, 0.9):
+        assert _percolated_inputs(p_estar, cat_estar, pi).criticality == pytest.approx(
+            3 * (pi + pi**2 - pi**3), abs=1e-12
+        )
+
+
+def test_critical_pi_bracket_solves_no_fixed_point(monkeypatch, p_estar, cat_estar):
+    from rigclab import theory
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("critical_pi_bracket solved a fixed point")
+
+    monkeypatch.setattr(theory, "solve_eta_l", forbidden)
+    lo, hi = critical_pi_bracket(p_estar, cat_estar, 1e-9)
+    assert lo <= 0.2776482755 <= hi
+    with pytest.raises(NotSupercritical):
+        critical_pi_bracket(Pmf({1: 1.0}), cat_estar, 1e-6)
+
+
+def test_critical_pi_bracket_near_critical(k2):
+    # K2 with p = (1 - a) delta_1 + a delta_3: the percolated criticality is
+    # E[p~] pi = 6a pi / (1 + 2a), so pi_c = (1 + 2a) / (6a), just below one;
+    # the unpercolated criticality is 1 + 2.7e-5
+    a = 0.25 + 1e-5
+    p = Pmf({1: 1 - a, 3: a})
+    cat = CommunityCatalog([(k2, 1.0)])
+    pi_c = (1 + 2 * a) / (6 * a)
+    for tol in (1e-6, 1e-12):
+        lo, hi = critical_pi_bracket(p, cat, tol)
+        assert hi - lo <= tol
+        assert lo <= pi_c <= hi
+
+
+@pytest.mark.parametrize("p", [{2: 1.0}, {2: 1 - 1e-13, 3: 1e-13}])
+def test_critical_pi_bracket_excluded_regime(k2, p):
+    with pytest.raises(ExcludedRegime):
+        critical_pi_bracket(Pmf(p), CommunityCatalog([(k2, 1.0)]), 1e-6)
 
 
 def test_harris_sweep_monotone_and_endpoints(p_estar, cat_estar):
