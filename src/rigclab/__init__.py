@@ -31,6 +31,7 @@ from .components import (
     giant_stats_bcm,
     giant_stats_rigc,
     giant_stats_rigc_from_bcm,
+    joint_in_giant_from_bcm,
     rigc_components,
 )
 from .explore import (
@@ -78,7 +79,6 @@ from .theory import (
     edges_in_giant_rigc,
     giant_prediction,
     hitting_time_curve,
-    joint_degree_in_giant,
     joint_degree_in_giant_table,
     solve_eta_l,
 )

@@ -39,6 +39,7 @@ from .components import (
     giant_stats_bcm,
     giant_stats_rigc,
     giant_stats_rigc_from_bcm,
+    joint_in_giant_from_bcm,
 )
 from .errors import ConfigError, KeyMismatch, LabError, OutOfDomain
 from .model import (
@@ -243,11 +244,6 @@ class Experiment:
         _check_numbers(self.c_grid, "c_grid", lambda c: 0.0 < c <= 1.0, "(0, 1]")
         if not self.c_grid:
             _fail("c_grid", "expected a nonempty list of numbers")
-        self.d_max = cfg.get("d_max")
-        if self.d_max is not None:
-            self.d_max = _int(self.d_max, "d_max")
-            if self.d_max < 0:
-                _fail("d_max", "must be >= 0")
         self.threads = _int(cfg.get("threads", 1), "threads")
         if self.threads < 1:
             _fail("threads", "must be >= 1")
@@ -379,7 +375,7 @@ def _job_giant(exp: Experiment, replica: int) -> dict:
     }
     joint = [
         (exp.seed, replica, params.n_l, k, d, frac)
-        for (k, d), frac in sorted(stats.joint_in_giant.items())
+        for (k, d), frac in joint_in_giant_from_bcm(bcm, params.communities, labels).items()
     ]
     return {
         "giant.csv": (list(row), [tuple(row.values())]),
@@ -487,12 +483,9 @@ def _run_theory(exp: Experiment) -> int:
     if pred.supercritical:
         bcm = theory_mod.bcm_predictions(inputs, pred)
         edges = theory_mod.edges_in_giant_rigc(inputs, pred)
-        d_max = exp.d_max if exp.d_max is not None else theory_mod.default_truncation(inputs)
         report["bcm"] = bcm.as_dict()
         report["edges_in_giant_per_N"] = edges
-        report["edges_in_giant_from_joint"] = theory_mod.edges_in_giant_from_joint(
-            inputs, pred, int(d_max)
-        )
+        report["edges_in_giant_from_joint"] = theory_mod.edges_in_giant_from_joint(inputs, pred)
         expected.update({"edges_in_giant_per_N": edges, **bcm.as_dict()})
     report["expected"] = expected
     _write_json(exp.out_dir / "theory.json", report)

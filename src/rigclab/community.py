@@ -286,8 +286,8 @@ class CommunityCatalog:
         by_invariant: dict[tuple, list[CommunityGraph]] = {}
         for graph, weight in items:
             w = float(weight)
-            if w < 0.0:
-                raise NegativeWeight(f"catalog weight {w}")
+            if not w >= 0.0:  # NaN included
+                raise NegativeWeight(f"catalog weight {w} is not >= 0")
             if w == 0.0:
                 continue
             ties = by_invariant.setdefault(

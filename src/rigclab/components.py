@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .community import CommunityGraph, CommunityList
-from .model import BcmGraph, ModelParams, RigcGraph, check_communities
+from .model import BcmGraph, RigcGraph, check_communities
 
 #: the joint law is counted in a dense table while its codes stay below this many per vertex
 _DENSE_CODES_PER_VERTEX = 4
@@ -111,7 +111,6 @@ class GiantStats:
     n_vertices: int
     c1_fraction: float
     c2_fraction: float
-    joint_in_giant: dict[tuple[int, int], float]
     edges_in_giant_per_N: float
 
     def as_dict(self) -> dict:
@@ -161,37 +160,23 @@ def _joint_law(ks: np.ndarray, ds: np.ndarray, n: int) -> dict[tuple[int, int], 
     return {(k, d): c / n for k, d, c in zip(k_of.tolist(), d_of.tolist(), counts.tolist())}
 
 
-def _giant_stats(n: int, sizes: np.ndarray, joint: dict, edges: int) -> GiantStats:
+def _giant_stats(n: int, sizes: np.ndarray, edges: int) -> GiantStats:
     """``GiantStats`` of ``n`` vertices from their component sizes."""
     return GiantStats(
         n_vertices=n,
         c1_fraction=int(sizes.max()) / n,
         c2_fraction=_second_largest(sizes) / n,
-        joint_in_giant=joint,
         edges_in_giant_per_N=float(edges) / n,
     )
 
 
-def giant_stats_rigc(graph: RigcGraph, params: ModelParams | None = None) -> GiantStats:
-    """Largest-component statistics of the projected graph.
-
-    ``params`` only fills ``joint_in_giant``, which maps (membership count,
-    projected degree) to the fraction of all vertices carrying those values
-    inside the giant, in ascending key order; without ``params`` it stays
-    empty.  Only library callers ask for it: the CLI's ``giant`` mode reads
-    the same statistics off the matching (``giant_stats_rigc_from_bcm``), and
-    ``sweep`` and ``percolate`` report no joint law.
-    """
+def giant_stats_rigc(graph: RigcGraph) -> GiantStats:
+    """Largest-component statistics of the projected graph."""
     labels = rigc_components(graph)
     sizes = np.bincount(labels)
     giant = _largest_label(sizes)
-    n = graph.n_vertices
-    joint: dict[tuple[int, int], float] = {}
-    if params is not None:
-        mask = labels == giant
-        joint = _joint_law(np.asarray(params.l_degrees)[mask], graph.projected_degrees()[mask], n)
     edges = np.count_nonzero(labels[graph.edge_u] == giant)
-    return _giant_stats(n, sizes, joint, edges)
+    return _giant_stats(graph.n_vertices, sizes, edges)
 
 
 def giant_stats_rigc_from_bcm(
@@ -199,16 +184,11 @@ def giant_stats_rigc_from_bcm(
 ) -> GiantStats:
     """The projected graph's statistics, read off the matching unprojected.
 
-    Equals ``giant_stats_rigc(project_rigc(bcm, communities), params)``
-    field for field, joint law included, where ``params`` holds
-    ``bcm.l_degrees`` and ``communities``.  ``labels`` is
-    ``bcm_components(bcm)``; only its first ``n_l`` entries, the
-    individuals', are read, so the projection's own labels serve as well
-    (see ``giant_stats_bcm``).  An individual's projected degree is the sum
-    of its roles' degrees inside their community graphs (holding both ends
-    of a community edge adds 2, as a self-loop does), and the giant's
-    projected edges are the community edges of the groups whose first
-    holder is in it.
+    Equals ``giant_stats_rigc(project_rigc(bcm, communities))`` field for
+    field.  ``labels`` is ``bcm_components(bcm)``; only its first ``n_l``
+    entries, the individuals', are read, so the projection's own labels
+    serve as well (see ``giant_stats_bcm``).  The giant's projected edges
+    are the community edges of the groups whose first holder is in it.
     """
     communities = CommunityList.of(communities)
     check_communities(bcm, communities)
@@ -222,9 +202,28 @@ def giant_stats_rigc_from_bcm(
         communities.type_index[group_in_giant], minlength=len(shapes)
     )
     edges = int(groups_in_giant @ np.array([g.edge_count for g in shapes], dtype=np.int64))
+    return _giant_stats(n, sizes, edges)
+
+
+def joint_in_giant_from_bcm(
+    bcm: BcmGraph, communities: Sequence[CommunityGraph], labels: np.ndarray
+) -> dict[tuple[int, int], float]:
+    """The projected graph's in-giant joint degree law, read off the matching.
+
+    Maps (membership count, projected degree) to the fraction of all
+    individuals carrying those values inside the giant of
+    ``project_rigc(bcm, communities)``, in ascending key order.  ``labels``
+    is read as in ``giant_stats_rigc_from_bcm``.  An individual's projected
+    degree is the sum of its roles' degrees inside their community graphs
+    (holding both ends of a community edge adds 2, as a self-loop does).
+    """
+    communities = CommunityList.of(communities)
+    check_communities(bcm, communities)
+    n = bcm.n_l
+    labels = labels[:n]
+    mask = labels == _largest_label(np.bincount(labels))
     degrees = _projected_degrees(bcm, communities)
-    mask = labels == giant
-    return _giant_stats(n, sizes, _joint_law(bcm.l_degrees[mask], degrees[mask], n), edges)
+    return _joint_law(bcm.l_degrees[mask], degrees[mask], n)
 
 
 def _projected_degrees(bcm: BcmGraph, communities: CommunityList) -> np.ndarray:

@@ -212,8 +212,7 @@ def harris_sweep(
     ``components._labels`` numbers the merged components in order of their
     lowest old component, so components stay numbered by their lowest vertex
     from point to point: the giant is the first largest component, and ties
-    go to the lowest vertex id as in ``giant_stats_rigc``.  ``joint_in_giant``
-    is left empty.
+    go to the lowest vertex id as in ``giant_stats_rigc``.
     """
     grid = list(pi_grid)
     if any(not 0.0 <= x <= 1.0 for x in grid):
@@ -243,7 +242,7 @@ def harris_sweep(
             kept = np.bincount(merged, weights=kept + np.bincount(cu, minlength=len(kept)))
             label = merged[label]
             start = end
-        out.append(_giant_stats(n, sizes, {}, int(kept[_largest_label(sizes)])))
+        out.append(_giant_stats(n, sizes, int(kept[_largest_label(sizes)])))
     return out
 
 
@@ -265,6 +264,8 @@ def sizebiased_comsize_check(
 ) -> SizeBiasedCheck:
     """Check that size-biasing the percolated size law matches the component
     of a uniformly chosen community role."""
+    if replicas < 1:
+        raise OutOfDomain(f"replicas must be >= 1, got {replicas}")
     communities = CommunityList.of(communities)
     # route (a): percolate the list once, size-bias its empirical size law
     pieces = build_com_pi(communities, pi, rng)

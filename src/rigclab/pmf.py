@@ -50,8 +50,8 @@ class Pmf:
             if v != value or v < 0:
                 raise OutOfDomain(f"support value {value!r} is not a nonnegative integer")
             w = float(weight)
-            if w < 0.0:
-                raise NegativeWeight(f"weight {w} at value {v}")
+            if not w >= 0.0:  # NaN included
+                raise NegativeWeight(f"weight {w} at value {v} is not >= 0")
             if w > 0.0:
                 cleaned.append((v, w))
         if not cleaned:

@@ -162,17 +162,12 @@ def _extinct_role_weights(inputs: TheoryInputs, eta_r: float) -> dict[int, float
     return w
 
 
-def joint_degree_in_giant(
-    inputs: TheoryInputs, prediction: GiantPrediction, k: int, d: int
-) -> float:
-    """Limiting fraction of vertices with k memberships and degree d in the giant."""
-    return joint_degree_in_giant_table(inputs, prediction, d).get((k, d), 0.0)
-
-
 def joint_degree_in_giant_table(
-    inputs: TheoryInputs, prediction: GiantPrediction, d_max: int
+    inputs: TheoryInputs, prediction: GiantPrediction
 ) -> dict[tuple[int, int], float]:
-    """All (k, d) values with d <= d_max in one pass over the support of p.
+    """Limiting fraction of vertices with k memberships and degree d in the
+    giant, for every (k, d) of the law's finite support, in one pass over
+    the support of p.
 
     Exact algebraic factorization: the survival discount factorizes over the
     k communities, so the double sum collapses to a difference of k-fold
@@ -186,21 +181,10 @@ def joint_degree_in_giant_table(
         full = convolve_power(inputs.rho, k)
         dead = convolve_power(dead_base, k)
         for d in sorted(full):  # dead's support lies within full's
-            if d > d_max:
-                break
             a = pk * (full[d] - dead.get(d, 0.0))
             if a != 0.0:
                 table[(k, d)] = a
     return table
-
-
-def default_truncation(inputs: TheoryInputs) -> int:
-    """Degree cutoff covering the whole joint law.
-
-    Finite catalogs and a finite membership law make the joint support
-    finite, so the cutoff is exact and the truncation tail is zero.
-    """
-    return max(inputs.p.values) * max(max(g.degrees()) for g, _ in inputs.shapes().items)
 
 
 def edges_in_giant_rigc(inputs: TheoryInputs, prediction: GiantPrediction) -> float:
@@ -214,15 +198,13 @@ def edges_in_giant_rigc(inputs: TheoryInputs, prediction: GiantPrediction) -> fl
     return inputs.gamma * acc
 
 
-def edges_in_giant_from_joint(
-    inputs: TheoryInputs, prediction: GiantPrediction, d_max: int
-) -> float:
+def edges_in_giant_from_joint(inputs: TheoryInputs, prediction: GiantPrediction) -> float:
     """Edges per individual in the giant, summed from the joint degree law.
 
-    Agrees with ``edges_in_giant_rigc`` up to the (geometrically small)
-    truncation tail; the identity of the two routes is a theory invariant.
+    Agrees with ``edges_in_giant_rigc`` up to rounding; the identity of the
+    two routes is a theory invariant.
     """
-    table = joint_degree_in_giant_table(inputs, prediction, d_max)
+    table = joint_degree_in_giant_table(inputs, prediction)
     return 0.5 * sum(d * a for (_, d), a in table.items())
 
 
@@ -301,6 +283,8 @@ def bp_survival_sim(
     """
     if side not in ("l", "r"):
         raise OutOfDomain(f"side must be 'l' or 'r', got {side!r}")
+    if replicas < 1:
+        raise OutOfDomain(f"replicas must be >= 1, got {replicas}")
     if generation_cap < 1 or size_cap < 1:
         raise OutOfDomain("caps must be >= 1")
     if side == "l":

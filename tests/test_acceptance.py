@@ -64,7 +64,8 @@ def oracle(estar):
 
 @pytest.fixture(scope="module")
 def giant_runs(estar):
-    """Twenty sampled instances at N ~ 2e5 with their statistics, timed."""
+    """Twenty sampled instances at N ~ 2e5 with their statistics and
+    in-giant joint degree laws, timed."""
     p, catalog, _ = estar
     started = time.perf_counter()
     runs = []
@@ -74,7 +75,8 @@ def giant_runs(estar):
         labels = rl.bcm_components(bcm)
         runs.append(
             (rl.giant_stats_rigc_from_bcm(bcm, params.communities, labels),
-             rl.giant_stats_bcm(bcm, labels))
+             rl.giant_stats_bcm(bcm, labels),
+             rl.joint_in_giant_from_bcm(bcm, params.communities, labels))
         )
     elapsed = time.perf_counter() - started
     return runs, elapsed
@@ -106,8 +108,8 @@ def test_criterion_01_fixed_point(estar, oracle):
 
 def test_criterion_02_giant_size(giant_runs, oracle):
     runs, elapsed = giant_runs
-    c1 = [s.c1_fraction for s, _ in runs]
-    c2 = [s.c2_fraction for s, _ in runs]
+    c1 = [s.c1_fraction for s, _, _ in runs]
+    c2 = [s.c2_fraction for s, _, _ in runs]
     mean_dev = abs(np.mean(c1) - oracle["xi_l"])
     ok = mean_dev < 0.01 and max(c2) < 0.01 and elapsed < 30.0
     report(
@@ -119,12 +121,12 @@ def test_criterion_02_giant_size(giant_runs, oracle):
 
 def test_criterion_03_bcm_giant(giant_runs, oracle):
     runs, _ = giant_runs
-    lhs = np.mean([b.lhs_fraction for _, b in runs])
-    rhs = np.mean([b.rhs_fraction for _, b in runs])
-    deg1 = np.mean([b.lhs_degk.get(1, 0.0) for _, b in runs])
-    deg3 = np.mean([b.lhs_degk.get(3, 0.0) for _, b in runs])
-    edges = np.mean([b.edges_per_N for _, b in runs])
-    combined = np.mean([b.combined_fraction for _, b in runs])
+    lhs = np.mean([b.lhs_fraction for _, b, _ in runs])
+    rhs = np.mean([b.rhs_fraction for _, b, _ in runs])
+    deg1 = np.mean([b.lhs_degk.get(1, 0.0) for _, b, _ in runs])
+    deg3 = np.mean([b.lhs_degk.get(3, 0.0) for _, b, _ in runs])
+    edges = np.mean([b.edges_per_N for _, b, _ in runs])
+    combined = np.mean([b.combined_fraction for _, b, _ in runs])
     assert oracle["edges"] == pytest.approx(1.9675823, abs=1e-6)
     checks = {
         "lhs": abs(lhs - oracle["xi_l"]) < 0.01,
@@ -140,9 +142,9 @@ def test_criterion_03_bcm_giant(giant_runs, oracle):
 def test_criterion_04_in_giant_degrees(giant_runs, estar, oracle):
     runs, _ = giant_runs
     _, _, inputs = estar
-    j12 = np.mean([s.joint_in_giant.get((1, 2), 0.0) for s, _ in runs])
-    j36 = np.mean([s.joint_in_giant.get((3, 6), 0.0) for s, _ in runs])
-    totals = [sum(s.joint_in_giant.values()) for s, _ in runs]
+    j12 = np.mean([j.get((1, 2), 0.0) for _, _, j in runs])
+    j36 = np.mean([j.get((3, 6), 0.0) for _, _, j in runs])
+    totals = [sum(j.values()) for _, _, j in runs]
     assert oracle["A12"] == pytest.approx(0.4679761, abs=1e-6)
     assert oracle["A36"] == pytest.approx(0.4998686, abs=1e-6)
     ok = (
@@ -163,8 +165,8 @@ def test_criterion_05_edge_identity(giant_runs, estar, oracle):
     _, _, inputs = estar
     pred = rl.giant_prediction(inputs)
     direct = rl.edges_in_giant_rigc(inputs, pred)
-    summed = rl.edges_in_giant_from_joint(inputs, pred, 60)
-    emp = np.mean([s.edges_in_giant_per_N for s, _ in runs])
+    summed = rl.edges_in_giant_from_joint(inputs, pred)
+    emp = np.mean([s.edges_in_giant_per_N for s, _, _ in runs])
     ok = abs(direct - summed) < 1e-8 and abs(emp - direct) < 0.02
     report(
         5,
@@ -383,7 +385,7 @@ def test_criterion_11_degenerate_guards(estar):
     params = rl.sample_params(sub_p, sub_cat, N_MID, philox(111, 0, 0))
     bcm = rl.generate_bcm(params, philox(111, 0, 1))
     rigc = rl.project_rigc(bcm, params.communities)
-    c1 = rl.giant_stats_rigc(rigc, params).c1_fraction
+    c1 = rl.giant_stats_rigc(rigc).c1_fraction
     ok = (
         raised
         and pred.criticality_value <= 1.0

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -37,6 +38,10 @@ def test_theory_mode_reference_values(tmp_path):
     assert report["prediction"]["eta_l"] == pytest.approx(0.0640478, abs=1e-6)
     assert report["prediction"]["xi_l"] == pytest.approx(0.9678448, abs=1e-6)
     assert report["edges_in_giant_per_N"] == pytest.approx(1.9675820, abs=1e-6)
+    # the edge count summed from the whole joint law is the community-edge formula's
+    assert report["edges_in_giant_from_joint"] == pytest.approx(
+        report["edges_in_giant_per_N"], rel=1e-12
+    )
     assert (tmp_path / "out" / "curves.csv").exists()
     assert (tmp_path / "out" / "tau_curve.csv").exists()
     header = (tmp_path / "out" / "curves.csv").read_text().splitlines()[0]
@@ -155,7 +160,6 @@ VALID_SAMPLED = dict(inputs={"l_pmf": {"1": 0.5, "3": 0.5}, "catalog": K3_CATALO
         pytest.param("theory", {"c_grid": {}}, "c_grid", id="theory-c-grid-empty-object"),
         pytest.param("theory", {"c_grid": []}, "c_grid", id="theory-c-grid-empty-list"),
         pytest.param("explore", {"c_grid": []}, "c_grid", id="c-grid-empty-list"),
-        pytest.param("theory", {"d_max": "x"}, "d_max", id="d-max-not-int"),
         pytest.param(
             "compare", {"theory_report": "missing.json", "empirical_csv": "missing.csv"},
             "theory_report", id="compare-missing-file",
@@ -197,7 +201,6 @@ VALID_SAMPLED = dict(inputs={"l_pmf": {"1": 0.5, "3": 0.5}, "catalog": K3_CATALO
         ),
         pytest.param("giant", {"threads": 0}, "threads", id="threads-zero"),
         pytest.param("giant", {"threads": -3}, "threads", id="threads-negative"),
-        pytest.param("theory", {"d_max": 2.5}, "d_max", id="d-max-fractional"),
         pytest.param(
             "giant", {"inputs": {"l_degrees": [1.5, 1.9, 1], "communities": [{"complete": 3}]}},
             "inputs.l_degrees[0]", id="l-degrees-fractional",
@@ -232,6 +235,18 @@ VALID_SAMPLED = dict(inputs={"l_pmf": {"1": 0.5, "3": 0.5}, "catalog": K3_CATALO
             "giant", {"inputs": {"l_degrees": [1, 1], "communities": {"complete": 2}}},
             "inputs.communities", id="communities-not-list",
         ),
+        # NaN compares false both ways, so a "< 0" check alone lets it through
+        *[
+            pytest.param(mode, {"inputs": inputs}, field, id=f"{name}-nan-weight-{mode}")
+            for mode in ("theory", "pi-c", "generate", "giant", "explore", "percolate", "sweep")
+            for name, field, inputs in [
+                ("l-pmf", "inputs.l_pmf",
+                 {"l_pmf": {"1": 1.0, "3": math.nan}, "catalog": K3_CATALOG}),
+                ("catalog", "inputs.catalog",
+                 {"l_pmf": {"1": 0.5, "3": 0.5},
+                  "catalog": [*K3_CATALOG, {"graph": {"complete": 2}, "weight": math.nan}]}),
+            ]
+        ],
     ],
 )
 def test_malformed_config_exit_2(tmp_path, capsys, mode, change, path):
@@ -267,8 +282,6 @@ def run_cli_subprocess(tmp_path, mode, timeout, **cfg):
         pytest.param("pi-c", {"tol": 0}, 2, id="tol-zero"),
         pytest.param("pi-c", {"tol": -1}, 2, id="tol-negative"),
         pytest.param("pi-c", {"tol": 1e-300}, 0, id="tol-below-float-spacing"),
-        pytest.param("theory", {"d_max": -5}, 2, id="d-max-negative"),
-        pytest.param("theory", {"d_max": 1e12}, 0, id="d-max-huge"),
         # its first draw asks for about 51 TiB, refused at once with no page touched;
         # never test a size the host could actually commit
         pytest.param("giant", {"target_n": 1e13, "seed": 1}, 3, id="target-n-huge"),
@@ -292,17 +305,11 @@ def test_hostile_config_ends(tmp_path, mode, change, code):
     elif code == 3:
         assert done.stderr.startswith("runtime error: MemoryError: ")
         assert not (tmp_path / "out").exists()
-    elif mode == "pi-c":
+    else:
         report = json.loads((tmp_path / "out" / "pi_c.json").read_text())
         # the bisection ran down to adjacent floats around the triangle threshold
         assert np.nextafter(report["bracket_lo"], 1.0) == report["bracket_hi"]
         assert report["pi_c"] == pytest.approx(0.27765, abs=1e-4)
-    else:
-        # a cutoff beyond the joint law's support changes nothing
-        report = json.loads((tmp_path / "out" / "theory.json").read_text())
-        assert report["edges_in_giant_from_joint"] == pytest.approx(
-            report["edges_in_giant_per_N"], rel=1e-12
-        )
 
 
 def test_modes_run_without_scipy(tmp_path):
@@ -962,3 +969,34 @@ def test_giant_never_projects(tmp_path, monkeypatch):
         plain = (tmp_path / "plain" / name).read_bytes()
         assert len(plain.splitlines()) > 2
         assert (tmp_path / "guarded" / name).read_bytes() == plain
+
+
+@pytest.mark.parametrize(
+    "mode,extra",
+    [
+        pytest.param("percolate", {"pi": 0.5}, id="percolate"),
+        pytest.param("sweep", {"pi_grid": [0.2, 0.5, 1.0]}, id="sweep"),
+    ],
+)
+def test_percolate_and_sweep_compute_no_joint_law(tmp_path, monkeypatch, mode, extra):
+    """Neither mode writes a joint degree law, so neither computes projected
+    degrees: with every producer of them made to raise, each runs and writes
+    the same file."""
+    from rigclab import components
+
+    cfg = write_config(
+        tmp_path, "cfg.json", **{**VALID_SAMPLED, "target_n": 3000, "replicas": 2, **extra}
+    )
+    assert run(cfg, mode=mode, overrides={"out_dir": str(tmp_path / "plain")}) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{mode} must not compute projected degrees")
+
+    monkeypatch.setattr(components, "_projected_degrees", refuse)
+    monkeypatch.setattr(components, "_joint_law", refuse)
+    monkeypatch.setattr(model.RigcGraph, "projected_degrees", refuse)
+    assert run(cfg, mode=mode, overrides={"out_dir": str(tmp_path / "guarded")}) == 0
+    name = f"{mode}.csv"
+    plain = (tmp_path / "plain" / name).read_bytes()
+    assert len(plain.splitlines()) > 2
+    assert (tmp_path / "guarded" / name).read_bytes() == plain

@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -20,6 +21,7 @@ from rigclab import (
     split_components,
 )
 from rigclab.errors import (
+    NegativeWeight,
     NotNormalized,
     OutOfDomain,
     TooLargeForExactIsomorphism,
@@ -112,6 +114,13 @@ def test_catalog_pmfs(k1, k2, k3):
     cat3 = CommunityCatalog([(k1, 1.0)])
     assert cat3.cdeg_pmf().as_dict() == {0: 1.0}
     assert cat3.mean_edges() == 0.0
+
+
+def test_catalog_refuses_nan_weight(k2, k3):
+    # a NaN total compares false with the normalization tolerance, so only
+    # the per-item check can refuse it
+    with pytest.raises(NegativeWeight, match="not >= 0"):
+        CommunityCatalog([(k3, 1.0), (k2, math.nan)])
 
 
 def test_catalog_rejects_duplicate_classes(k3):

@@ -21,6 +21,7 @@ from rigclab import (
     giant_stats_rigc,
     giant_stats_rigc_from_bcm,
     harris_sweep,
+    joint_in_giant_from_bcm,
     path_graph,
     project_rigc,
     rigc_components,
@@ -111,10 +112,10 @@ def test_triangle_instance(k3):
     rigc = project_rigc(bcm, params.communities)
     labels = rigc_components(rigc)
     assert len(set(labels.tolist())) == 1
-    stats = giant_stats_rigc(rigc, params)
+    stats = giant_stats_rigc(rigc)
     assert stats.c1_fraction == 1.0
     assert stats.c2_fraction == 0.0
-    assert stats.joint_in_giant == {(1, 2): 1.0}
+    assert joint_in_giant_from_bcm(bcm, params.communities, bcm_components(bcm)) == {(1, 2): 1.0}
     assert stats.edges_in_giant_per_N == pytest.approx(1.0)
 
 
@@ -124,7 +125,7 @@ def test_singletons(k1):
     rigc = project_rigc(bcm, params.communities)
     labels = rigc_components(rigc)
     assert len(set(labels.tolist())) == 2
-    stats = giant_stats_rigc(rigc, params)
+    stats = giant_stats_rigc(rigc)
     assert stats.c1_fraction == 0.5
     assert stats.c2_fraction == 0.5
     assert stats.edges_in_giant_per_N == 0.0
@@ -152,7 +153,7 @@ def test_self_loops_ignored_for_connectivity(k2):
     assert rigc.multiplicities() == {(0, 0): 1}
     labels = rigc_components(rigc)
     assert labels.tolist() == [0]
-    stats = giant_stats_rigc(rigc, params)
+    stats = giant_stats_rigc(rigc)
     # the self-loop is inside the giant and counts once as an edge
     assert stats.edges_in_giant_per_N == pytest.approx(1.0)
 
@@ -192,8 +193,9 @@ def test_joint_sums_to_c1(p_estar, cat_estar):
     params = sample_params(p_estar, cat_estar, 2_000, philox(5))
     bcm = generate_bcm(params, philox(5, 0, 1))
     rigc = project_rigc(bcm, params.communities)
-    stats = giant_stats_rigc(rigc, params)
-    assert sum(stats.joint_in_giant.values()) == pytest.approx(stats.c1_fraction, abs=1e-12)
+    stats = giant_stats_rigc(rigc)
+    joint = joint_in_giant_from_bcm(bcm, params.communities, bcm_components(bcm))
+    assert sum(joint.values()) == pytest.approx(stats.c1_fraction, abs=1e-12)
     assert stats.edges_in_giant_per_N <= len(rigc.edge_u) / params.n_l + 1e-12
 
 
@@ -250,7 +252,8 @@ JOINT_INSTANCES = {
 @pytest.mark.parametrize("name", sorted(JOINT_INSTANCES))
 def test_joint_law_matches_oracle(name):
     params = JOINT_INSTANCES[name]()
-    rigc = project_rigc(generate_bcm(params, philox(11, 0, 1)), params.communities)
+    bcm = generate_bcm(params, philox(11, 0, 1))
+    rigc = project_rigc(bcm, params.communities)
     mult = rigc.multiplicities()
     if name == "mixed":
         assert any(u == v for u, v in mult), "instance lost its self-loops"
@@ -258,7 +261,7 @@ def test_joint_law_matches_oracle(name):
     if name == "edgeless":
         assert mult == {}
     expected = joint_law_oracle(params.l_degrees.tolist(), mult, params.n_l)
-    joint = giant_stats_rigc(rigc, params).joint_in_giant
+    joint = joint_in_giant_from_bcm(bcm, params.communities, bcm_components(bcm))
     assert list(joint.items()) == list(expected.items())
 
 
@@ -466,15 +469,23 @@ def test_bcm_giant_differs_from_projected_giant():
 
 
 def check_rigc_from_bcm(bcm, params):
-    """``giant_stats_rigc_from_bcm`` equals the projection's statistics
-    exactly, joint law and its key order included, and reads the same from
-    the projection's labels as from the matching's."""
-    want = giant_stats_rigc(project_rigc(bcm, params.communities), params)
-    got = giant_stats_rigc_from_bcm(bcm, params.communities, bcm_components(bcm))
-    assert got == want
-    assert list(got.joint_in_giant) == list(want.joint_in_giant)
-    projected = rigc_components(project_rigc(bcm, params.communities))
-    assert giant_stats_rigc_from_bcm(bcm, params.communities, projected) == want
+    """``giant_stats_rigc_from_bcm`` equals the projection's statistics and
+    ``joint_in_giant_from_bcm`` the plain-Python oracle's joint law, key
+    order included, exactly; both read the same from the projection's
+    labels as from the matching's, and the statistics equal the oracle's."""
+    communities = params.communities
+    want = giant_stats_rigc(project_rigc(bcm, communities))
+    labels = bcm_components(bcm)
+    assert giant_stats_rigc_from_bcm(bcm, communities, labels) == want
+    oracle = rigc_oracle(params.l_degrees.tolist(), communities, bcm.matching.tolist())
+    joint = joint_in_giant_from_bcm(bcm, communities, labels)
+    assert list(joint.items()) == list(oracle.pop("joint_in_giant").items())
+    assert dataclasses.asdict(want) == oracle
+    projected = rigc_components(project_rigc(bcm, communities))
+    assert giant_stats_rigc_from_bcm(bcm, communities, projected) == want
+    assert list(joint_in_giant_from_bcm(bcm, communities, projected).items()) == list(
+        joint.items()
+    )
     return want
 
 
@@ -538,8 +549,7 @@ def test_rigc_from_bcm_matches_python_oracle_exhaustive(l_degrees, communities):
             r_degrees=params.r_degrees(),
             matching=np.array(perm, dtype=np.int64),
         )
-        stats = check_rigc_from_bcm(bcm, params)
-        assert dataclasses.asdict(stats) == rigc_oracle(l_degrees, communities, list(perm))
+        check_rigc_from_bcm(bcm, params)
 
 
 K1 = CommunityGraph(1, [])
@@ -595,10 +605,7 @@ def test_rigc_from_bcm_equals_projection_explicit():
     params = build_params(l_degrees, communities)
     for seed in range(20):
         bcm = generate_bcm(params, philox(seed, 0, 33))
-        stats = check_rigc_from_bcm(bcm, params)
-        assert dataclasses.asdict(stats) == rigc_oracle(
-            l_degrees, communities, bcm.matching.tolist()
-        )
+        check_rigc_from_bcm(bcm, params)
 
 
 def distinct_shapes(count, rng):

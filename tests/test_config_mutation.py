@@ -29,7 +29,8 @@ TRIANGLES = {
 SAMPLED = {"inputs": TRIANGLES, "target_n": 200, "seed": 5, "replicas": 2, "threads": 1}
 
 BASES = {
-    "theory": {"inputs": TRIANGLES, "d_max": 12, "c_grid": [0.5, 1.0]},
+    # theory mode validates tol, though only pi-c reads it
+    "theory": {"inputs": TRIANGLES, "tol": 1e-3, "c_grid": [0.5, 1.0]},
     "generate": {
         "inputs": {
             "l_degrees": [1, 2, 1, 1, 1],

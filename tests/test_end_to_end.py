@@ -67,11 +67,11 @@ def test_giant_matches_prediction(mixed, mixed_instance):
 
 def test_joint_degrees_match_prediction(mixed, mixed_instance):
     _, _, inputs, pred = mixed
-    params, _, rigc = mixed_instance
-    stats = rl.giant_stats_rigc(rigc, params)
+    params, bcm, _ = mixed_instance
+    joint = rl.joint_in_giant_from_bcm(bcm, params.communities, rl.bcm_components(bcm))
+    expected = rl.joint_degree_in_giant_table(inputs, pred)
     for k, d in [(1, 1), (1, 3), (2, 2), (2, 4), (4, 8)]:
-        expected = rl.joint_degree_in_giant(inputs, pred, k, d)
-        assert stats.joint_in_giant.get((k, d), 0.0) == pytest.approx(expected, abs=0.02)
+        assert joint.get((k, d), 0.0) == pytest.approx(expected.get((k, d), 0.0), abs=0.02)
 
 
 def test_exploration_matches_curves(mixed, mixed_instance):
@@ -103,14 +103,12 @@ def test_percolation_two_paths_match_prediction(mixed, mixed_instance):
     assert pred_pi.supercritical
 
     perc = rl.percolate_rigc_graph(rigc, pi, philox(71, 0, 2))
-    c1_graph = rl.giant_stats_rigc(perc, params).c1_fraction
+    c1_graph = rl.giant_stats_rigc(perc).c1_fraction
 
     pieces = rl.build_com_pi(params.communities, pi, philox(71, 0, 6))
     params_b = rl.build_params(params.l_degrees, pieces)
     bcm_b = rl.generate_bcm(params_b, philox(71, 0, 7))
-    c1_com = rl.giant_stats_rigc(
-        rl.project_rigc(bcm_b, params_b.communities), params_b
-    ).c1_fraction
+    c1_com = rl.giant_stats_rigc(rl.project_rigc(bcm_b, params_b.communities)).c1_fraction
 
     assert c1_graph == pytest.approx(pred_pi.xi_l, abs=0.03)
     assert c1_com == pytest.approx(pred_pi.xi_l, abs=0.03)

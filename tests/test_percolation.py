@@ -381,9 +381,7 @@ def test_harris_sweep_monotone_and_endpoints(p_estar, cat_estar):
     c1 = [s.c1_fraction for s in stats]
     assert all(b >= a - 1e-12 for a, b in zip(c1, c1[1:]))
     assert stats[0].edges_in_giant_per_N == 0.0
-    assert stats[-1].c1_fraction == pytest.approx(
-        giant_stats_rigc(rigc, params).c1_fraction
-    )
+    assert stats[-1].c1_fraction == pytest.approx(giant_stats_rigc(rigc).c1_fraction)
 
 
 def test_harris_sweep_grid_validation(p_estar, cat_estar):
@@ -512,6 +510,12 @@ def test_sizebiased_check_trivial(k3):
     report0 = sizebiased_comsize_check([k3] * 50, 0.0, philox(45), 500)
     assert report0.tv_distance == pytest.approx(0.0, abs=1e-12)
     assert report0.law_from_catalog == {0: 1.0}
+
+
+@pytest.mark.parametrize("replicas", [0, -3])
+def test_sizebiased_check_refuses_no_replicas(k3, replicas):
+    with pytest.raises(OutOfDomain, match="replicas"):
+        sizebiased_comsize_check([k3] * 50, 0.5, philox(47), replicas)
 
 
 def test_sizebiased_check_half(k3):

@@ -37,6 +37,9 @@ def test_construction_errors():
         Pmf({0: -0.1, 1: 1.1})
     with pytest.raises(OutOfDomain):
         Pmf({-1: 1.0})
+    # NaN is neither < 0 nor > 0, so it must not be dropped like a zero weight
+    with pytest.raises(NegativeWeight, match="not >= 0"):
+        Pmf({1: 1.0, 3: math.nan})
 
 
 def test_zero_weights_dropped_and_renormalized():

@@ -19,13 +19,11 @@ from rigclab import (
     edges_in_giant_rigc,
     giant_prediction,
     hitting_time_curve,
-    joint_degree_in_giant,
     joint_degree_in_giant_table,
     path_graph,
     solve_eta_l,
 )
 from rigclab.errors import ExcludedRegime, NotSupercritical, OutOfDomain
-from rigclab.theory import default_truncation
 from conftest import bisect_eta, exact_pgf_inverse, philox
 
 
@@ -136,14 +134,11 @@ def test_left_right_symmetry():
 
 def test_joint_degree_reference_values(inputs_estar):
     pred = giant_prediction(inputs_estar)
-    assert joint_degree_in_giant(inputs_estar, pred, 1, 2) == pytest.approx(
-        0.4679761, abs=1e-6
-    )
-    assert joint_degree_in_giant(inputs_estar, pred, 3, 6) == pytest.approx(
-        0.4998686, abs=1e-6
-    )
+    table = joint_degree_in_giant_table(inputs_estar, pred)
+    assert table.get((1, 2), 0.0) == pytest.approx(0.4679761, abs=1e-6)
+    assert table.get((3, 6), 0.0) == pytest.approx(0.4998686, abs=1e-6)
     # odd totals are impossible when every role has exactly two connections
-    assert joint_degree_in_giant(inputs_estar, pred, 1, 3) == 0.0
+    assert table.get((1, 3), 0.0) == 0.0
 
 
 def test_joint_degree_matches_literal_sum():
@@ -153,18 +148,17 @@ def test_joint_degree_matches_literal_sum():
     )
     pred = giant_prediction(inputs)
     assert pred.supercritical
+    table = joint_degree_in_giant_table(inputs, pred)
     for k in (1, 2, 3):
         for d in range(0, 3 * k + 1):
-            assert joint_degree_in_giant(inputs, pred, k, d) == pytest.approx(
+            assert table.get((k, d), 0.0) == pytest.approx(
                 literal_joint_in_giant(inputs, pred, k, d), abs=1e-12
             )
 
 
 def test_joint_degree_sums_to_giant_fraction(inputs_estar):
     pred = giant_prediction(inputs_estar)
-    table = joint_degree_in_giant_table(
-        inputs_estar, pred, default_truncation(inputs_estar)
-    )
+    table = joint_degree_in_giant_table(inputs_estar, pred)
     assert sum(table.values()) == pytest.approx(pred.xi_l, abs=1e-8)
 
 
@@ -172,7 +166,7 @@ def test_edge_formulas_agree(inputs_estar):
     pred = giant_prediction(inputs_estar)
     direct = edges_in_giant_rigc(inputs_estar, pred)
     assert direct == pytest.approx(1.9675820, abs=1e-6)
-    assert edges_in_giant_from_joint(inputs_estar, pred, 60) == pytest.approx(
+    assert edges_in_giant_from_joint(inputs_estar, pred) == pytest.approx(
         direct, abs=1e-8
     )
 
@@ -183,9 +177,9 @@ def test_edge_formulas_agree_on_mixed_catalog():
         [(complete_graph(2), 0.25), (complete_graph(3), 0.5), (path_graph(4), 0.25)],
     )
     pred = giant_prediction(inputs)
-    assert edges_in_giant_from_joint(
-        inputs, pred, default_truncation(inputs)
-    ) == pytest.approx(edges_in_giant_rigc(inputs, pred), abs=1e-8)
+    assert edges_in_giant_from_joint(inputs, pred) == pytest.approx(
+        edges_in_giant_rigc(inputs, pred), abs=1e-8
+    )
 
 
 def test_size_only_inputs(inputs_estar):
@@ -196,11 +190,9 @@ def test_size_only_inputs(inputs_estar):
     assert bcm_predictions(sized, pred) == bcm_predictions(inputs_estar, pred)
     # the joint law and the edge formulas need community shapes
     for formula in (
-        lambda: joint_degree_in_giant(sized, pred, 1, 2),
-        lambda: joint_degree_in_giant_table(sized, pred, 6),
-        lambda: default_truncation(sized),
+        lambda: joint_degree_in_giant_table(sized, pred),
         lambda: edges_in_giant_rigc(sized, pred),
-        lambda: edges_in_giant_from_joint(sized, pred, 6),
+        lambda: edges_in_giant_from_joint(sized, pred),
     ):
         with pytest.raises(OutOfDomain):
             formula()
@@ -332,6 +324,12 @@ def test_bp_survival_degenerate(k1):
     frac, err = bp_survival_sim(inputs, "l", 2_000, 50, 1_000, philox(33))
     assert frac == 0.0
     assert err == 0.0
+
+
+@pytest.mark.parametrize("replicas", [0, -3])
+def test_bp_survival_refuses_no_replicas(inputs_estar, replicas):
+    with pytest.raises(OutOfDomain, match="replicas"):
+        bp_survival_sim(inputs_estar, "l", replicas, 60, 10_000, philox(36))
 
 
 def test_bp_survival_matches_fixed_point(inputs_estar):
