@@ -38,10 +38,6 @@ def test_theory_mode_reference_values(tmp_path):
     assert report["prediction"]["eta_l"] == pytest.approx(0.0640478, abs=1e-6)
     assert report["prediction"]["xi_l"] == pytest.approx(0.9678448, abs=1e-6)
     assert report["edges_in_giant_per_N"] == pytest.approx(1.9675820, abs=1e-6)
-    # the edge count summed from the whole joint law is the community-edge formula's
-    assert report["edges_in_giant_from_joint"] == pytest.approx(
-        report["edges_in_giant_per_N"], rel=1e-12
-    )
     assert (tmp_path / "out" / "curves.csv").exists()
     assert (tmp_path / "out" / "tau_curve.csv").exists()
     header = (tmp_path / "out" / "curves.csv").read_text().splitlines()[0]
@@ -310,6 +306,18 @@ def test_hostile_config_ends(tmp_path, mode, change, code):
         # the bisection ran down to adjacent floats around the triangle threshold
         assert np.nextafter(report["bracket_lo"], 1.0) == report["bracket_hi"]
         assert report["pi_c"] == pytest.approx(0.27765, abs=1e-4)
+
+
+def test_theory_edges_in_giant_from_joint_law(tmp_path):
+    """The edge count summed from the whole joint law is the community-edge
+    formula's: the table covers the law's full finite support."""
+    done = run_cli_subprocess(tmp_path, "theory", 60, inputs=ESTAR_INPUTS)
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    report = json.loads((tmp_path / "out" / "theory.json").read_text())
+    assert report["edges_in_giant_from_joint"] == pytest.approx(
+        report["edges_in_giant_per_N"], rel=1e-12
+    )
 
 
 def test_modes_run_without_scipy(tmp_path):
