@@ -20,7 +20,6 @@ from .community import (
     cycle_graph,
     path_graph,
     percolate_enumerate,
-    percolate_sample,
     size_census,
     split_components,
 )
@@ -37,21 +36,16 @@ from .components import (
 from .explore import (
     ComponentRecord,
     Trajectory,
-    coupled_standard_hitting,
-    giant_exploration_window,
     hitting_times,
     horizon,
     run_exploration,
-    standard_death_process,
     trajectory_sup_error,
-    zr_process,
 )
 from .model import (
     BcmGraph,
     ModelParams,
     RigcGraph,
     build_params,
-    contract_to_cm,
     empirical_catalog,
     empirical_l_pmf,
     generate_bcm,
@@ -63,17 +57,14 @@ from .percolation import (
     critical_pi,
     critical_pi_bracket,
     harris_sweep,
-    mu_pi_limit,
     percolate_rigc_graph,
     percolated_prediction,
-    sizebiased_comsize_check,
 )
 from .pmf import Pmf, convolve_power, convolve_weights
 from .theory import (
     GiantPrediction,
     TheoryInputs,
     bcm_predictions,
-    bp_survival_sim,
     curve_table,
     edges_in_giant_from_joint,
     edges_in_giant_rigc,

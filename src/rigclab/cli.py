@@ -89,10 +89,13 @@ def _int(value, path: str) -> int:
 
 
 def _float(value, path: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        _fail(path, f"expected a number, got {value!r}")
+    """A number field: booleans are refused, though Python reads them as 0 and 1."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    _fail(path, f"expected a number, got {value!r}")
 
 
 def _path(value, path: str) -> str:
@@ -112,6 +115,8 @@ def _check_numbers(values, path: str, within, bounds: str) -> None:
 def _parse_pmf(obj, path: str) -> Pmf:
     if not isinstance(obj, dict) or not obj:
         _fail(path, "expected a nonempty object")
+    if any(isinstance(value, bool) for value in obj.values()):
+        _fail(path, "expected numbers, got a boolean")
     try:
         if "poisson" in obj:
             return Pmf.poisson(float(obj["poisson"]))
@@ -566,7 +571,10 @@ def compare(theory_path: Path, empirical_path: Path, tolerances: dict | None = N
     expected = report.get("expected", report) if isinstance(report, dict) else None
     if not isinstance(expected, dict):
         _fail("theory_report", f"{theory_path} does not hold a JSON object of expected values")
-    text = Path(empirical_path).read_text().strip().splitlines()
+    try:
+        text = Path(empirical_path).read_text().strip().splitlines()
+    except UnicodeDecodeError as exc:
+        _fail("empirical_csv", f"{empirical_path} is not UTF-8 text: {exc}")
     if len(text) < 2:
         raise KeyMismatch(f"{empirical_path} carries no data rows")
     header = text[0].split(",")
@@ -630,8 +638,12 @@ def run(config_path, mode: str | None = None, overrides: dict | None = None) -> 
     runtime (regime) errors."""
     try:
         cfg = json.loads(Path(config_path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"config: {exc}", file=sys.stderr)
+        return 2
+    if not isinstance(cfg, dict):
+        print(f"config: the top level must be a JSON object, got {type(cfg).__name__}",
+              file=sys.stderr)
         return 2
     if overrides:
         cfg.update({k: v for k, v in overrides.items() if v is not None})

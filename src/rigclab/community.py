@@ -1,16 +1,16 @@
 """Community graphs, frequency catalogs, and exact one-community percolation.
 
 A community is a simple, finite, connected, labeled graph.  Catalogs carry a
-frequency weight per isomorphism class and induce the size law, the
-vertex-weighted within-community degree law, and the mean edge count that the
-closed-form predictions consume.
+frequency weight per isomorphism class and induce the size law and the
+vertex-weighted within-community degree law that the closed-form predictions
+consume.
 
 Percolation on one community is exact in two ways.  ``percolate_enumerate``
-walks all 2^|E| edge subsets and names each component's shape; it serves the
-percolated catalog.  ``size_census`` counts, per vertex subset, the edge
-subsets that make it a component; it serves the expected component counts
-per size, from which the percolated size law, and with it the percolated
-giant and the critical retention probability, follow.
+walks all 2^|E| edge subsets and names each component's shape; the suite's
+limiting percolated catalog is built on it.  ``size_census`` counts, per
+vertex subset, the edge subsets that make it a component; it serves the
+expected component counts per size, from which the percolated size law, and
+with it the percolated giant and the critical retention probability, follow.
 """
 from __future__ import annotations
 
@@ -85,12 +85,6 @@ class CommunityGraph:
         for d in self.degrees():
             census[d] = census.get(d, 0) + 1
         return census
-
-    def relabel(self, perm: Sequence[int]) -> "CommunityGraph":
-        """Relabel via perm, where perm[old - 1] = new label."""
-        return CommunityGraph(
-            self.n, [(perm[u - 1], perm[v - 1]) for u, v in self.edges]
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CommunityGraph):
@@ -279,7 +273,7 @@ class CommunityCatalog:
     that tie on those are compared by ``catalog_key``.
     """
 
-    __slots__ = ("items", "_index")
+    __slots__ = ("items",)
 
     def __init__(self, items: Iterable[tuple[CommunityGraph, float]]):
         kept: list = []
@@ -305,13 +299,6 @@ class CommunityCatalog:
         if abs(total - 1.0) > WEIGHT_SUM_TOL * 10:
             raise NotNormalized(f"catalog weights sum to {total!r}, not 1")
         self.items = tuple((g, w / total) for g, w in kept)
-        self._index = None
-
-    def weight_of(self, graph: CommunityGraph) -> float:
-        if self._index is None:
-            self._index = {catalog_key(g): i for i, (g, _) in enumerate(self.items)}
-        i = self._index.get(catalog_key(graph))
-        return self.items[i][1] if i is not None else 0.0
 
     def size_pmf(self) -> Pmf:
         """Community-size law q (one draw = one community, uniformly)."""
@@ -336,9 +323,6 @@ class CommunityCatalog:
     def mean_size(self) -> float:
         return sum(g.n * w for g, w in self.items)
 
-    def mean_edges(self) -> float:
-        return sum(g.edge_count * w for g, w in self.items)
-
     def __len__(self) -> int:
         return len(self.items)
 
@@ -348,15 +332,6 @@ class CommunityCatalog:
         return {catalog_key(g): w for g, w in self.items} == {
             catalog_key(g): w for g, w in other.items
         }
-
-    def to_json_obj(self) -> list:
-        return [{"graph": g.to_json_obj(), "weight": w} for g, w in self.items]
-
-    @classmethod
-    def from_json_obj(cls, obj: list) -> "CommunityCatalog":
-        return cls(
-            (CommunityGraph.from_json_obj(it["graph"]), float(it["weight"])) for it in obj
-        )
 
 
 # -- percolation on one community ----------------------------------------------
@@ -486,20 +461,6 @@ def percolate_enumerate(graph: CommunityGraph, pi: float) -> PercolationProfile:
     )
 
 
-def percolate_sample(
-    graph: CommunityGraph, pi: float, rng: np.random.Generator
-) -> list[CommunityGraph]:
-    """Keep each edge independently with probability pi; split components."""
-    if pi >= 1.0:
-        kept = graph.edges
-    elif pi <= 0.0:
-        kept = ()
-    else:
-        mask = rng.random(graph.edge_count) < pi
-        kept = tuple(e for e, keep in zip(graph.edges, mask) if keep)
-    return split_components(graph.n, kept)
-
-
 # -- component-size census -------------------------------------------------------
 
 
@@ -533,9 +494,6 @@ class ComponentSizeCensus:
             raise OutOfDomain(f"pi={pi} outside [0, 1]")
         w = self._count * pi**self._kept * (1.0 - pi) ** self._dropped
         return np.bincount(self._size, weights=w, minlength=self.n + 1)
-
-    def mean_component_count(self, pi: float) -> float:
-        return float(self.expected_counts(pi).sum())
 
 
 def check_census_cap(graphs: Iterable[CommunityGraph]) -> None:

@@ -63,10 +63,6 @@ class InconsistentMatching(LabError):
     pass
 
 
-class NotTwoRegularRight(LabError):
-    pass
-
-
 # -- theory -------------------------------------------------------------------
 
 class ExcludedRegime(LabError):

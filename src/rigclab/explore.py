@@ -430,119 +430,3 @@ def hitting_times(traj: Trajectory, c_grid) -> np.ndarray:
     idx = np.searchsorted(-traj.living, -c * traj.h, side="left")
     idx = np.minimum(idx, len(traj.times) - 1)
     return traj.times[idx]
-
-
-def giant_exploration_window(traj: Trajectory, t_star: float) -> tuple[float, float]:
-    """Last component start before t*/2 and the first one after.
-
-    In the supercritical regime these bracket the giant's exploration and
-    converge to (0, t*).
-    """
-    s1 = traj.s1_times
-    before = s1[s1 <= t_star / 2]
-    after = s1[s1 > t_star / 2]
-    t1 = float(before[-1]) if len(before) else math.nan
-    t2 = float(after[0]) if len(after) else math.inf
-    return t1, t2
-
-
-# -- reference death processes -----------------------------------------------
-
-
-@dataclass(frozen=True)
-class DeathProcessPath:
-    """Pure death process at unit per-capita rate: jump times from a fixed start."""
-
-    start: int
-    #: hit_times[k] = first time the process is at population k (hit_times[start] = 0)
-    hit_times: np.ndarray
-
-    def hitting(self, c: float) -> float:
-        if not 0.0 < c <= 1.0:
-            raise OutOfDomain(f"c={c} outside (0, 1]")
-        return float(self.hit_times[int(c * self.start)])
-
-    def sup_error_vs_exponential(self, c_grid) -> float:
-        """Sup over the grid of |T(c) + log c|: hitting-time concentration."""
-        return max(abs(self.hitting(c) + math.log(c)) for c in c_grid)
-
-    def sup_error_trajectory(self, t_grid) -> float:
-        """Sup over a time grid of |X(t)/start - exp(-t)|: path concentration."""
-        t = np.asarray(list(t_grid), dtype=float)
-        jump_t = self.hit_times[::-1]  # ascending times for states start..0
-        idx = np.searchsorted(jump_t, t, side="right") - 1
-        states = self.start - idx
-        return float(np.abs(states / self.start - np.exp(-t)).max())
-
-
-def standard_death_process(start: int, rng: np.random.Generator) -> DeathProcessPath:
-    """Sample the unit-rate death process started at ``start``."""
-    if start < 1:
-        raise OutOfDomain("start must be >= 1")
-    waits = rng.exponential(size=start) / np.arange(start, 0, -1)
-    hit = np.empty(start + 1)
-    hit[start] = 0.0
-    hit[start - 1 :: -1] = np.cumsum(waits)
-    return DeathProcessPath(start=start, hit_times=hit)
-
-
-def coupled_standard_hitting(traj: Trajectory, rng: np.random.Generator) -> DeathProcessPath:
-    """Standard death process coupled to the trajectory's jump realization.
-
-    Alarm jumps reuse the trajectory's observed waits; instantaneous group
-    discoveries get fresh Exp(1)/level waits, so the saved time against the
-    trajectory's hitting times is a sum of positives.
-    """
-    kinds = traj.kinds
-    jumps = (kinds == STEP2) | (kinds == STEP3)
-    times = traj.times[jumps]
-    is_alarm = kinds[jumps] == STEP3
-    prev = np.empty_like(times)
-    prev[0] = 0.0
-    prev[1:] = times[:-1]
-    # time elapsed at each pre-jump level (zero at instantaneous discoveries)
-    level_waits = np.where(is_alarm, times - prev, 0.0)
-    levels = np.arange(traj.h, 0, -1, dtype=float)
-    fresh = rng.exponential(size=traj.h) / levels
-    waits = np.where(is_alarm, level_waits, fresh)
-    hit = np.empty(traj.h + 1)
-    hit[traj.h] = 0.0
-    hit[traj.h - 1 :: -1] = np.cumsum(waits)
-    return DeathProcessPath(start=traj.h, hit_times=hit)
-
-
-@dataclass(frozen=True)
-class SizeBiasedWakePath:
-    """Group-token wake process driven by a size-biased reordering."""
-
-    h: int
-    order: np.ndarray
-    partial_sums: np.ndarray
-    wake_times: np.ndarray
-
-    def hitting(self, c: float) -> float:
-        """First time the sleeping token count drops to c * h."""
-        if not 0.0 < c <= 1.0:
-            raise OutOfDomain(f"c={c} outside (0, 1]")
-        remaining = self.h - self.partial_sums  # descending
-        j = int(np.searchsorted(-remaining, -c * self.h, side="left"))
-        return float(self.wake_times[j])
-
-
-def zr_process(r_degrees, rng: np.random.Generator) -> SizeBiasedWakePath:
-    """Wake groups in size-biased order; waits are Exp(1) over sleeping tokens.
-
-    Its hitting times are distributed exactly as the time the exploration
-    saves through instantaneous discoveries.
-    """
-    d = np.asarray(r_degrees, dtype=np.int64)
-    if len(d) == 0 or d.min() < 1:
-        raise OutOfDomain("degrees must be a nonempty positive sequence")
-    h = int(d.sum())
-    order = np.argsort(rng.exponential(size=len(d)) / d, kind="stable")
-    sums = np.zeros(len(d) + 1, dtype=np.int64)
-    np.cumsum(d[order], out=sums[1:])
-    remaining = h - sums[:-1]  # sleeping count before each wake
-    wake = np.zeros(len(d) + 1)
-    wake[1:] = np.cumsum(rng.exponential(size=len(d)) / remaining)
-    return SizeBiasedWakePath(h=h, order=order, partial_sums=sums, wake_times=wake)

@@ -19,7 +19,6 @@ from .errors import (
     EmptySupport,
     HalfEdgeMismatch,
     InconsistentMatching,
-    NotTwoRegularRight,
     OutOfDomain,
     OutOfRange,
     ZeroDegree,
@@ -274,11 +273,6 @@ class RigcGraph:
         u, v, mult = _aggregate_edges(self.n_vertices, self.edge_u, self.edge_v)
         return dict(zip(zip(u.tolist(), v.tolist()), mult.tolist()))
 
-    def projected_degrees(self) -> np.ndarray:
-        """Per-vertex degree; a self-loop contributes 2 to its endpoint."""
-        n = self.n_vertices
-        return np.bincount(self.edge_u, minlength=n) + np.bincount(self.edge_v, minlength=n)
-
 
 def _aggregate_edges(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:
     """(u, v, mult): one row per distinct pair (u <= v) of the units
@@ -316,11 +310,3 @@ def project_rigc(bcm: BcmGraph, communities: Sequence[CommunityGraph]) -> RigcGr
         ends_u.append(holder[(bases[:, None] + local[None, :, 0]).ravel()])
         ends_v.append(holder[(bases[:, None] + local[None, :, 1]).ravel()])
     return RigcGraph(bcm.n_l, np.concatenate(ends_u), np.concatenate(ends_v))
-
-
-def contract_to_cm(bcm: BcmGraph) -> RigcGraph:
-    """Contract every degree-2 group into one unit between its members."""
-    if not np.all(bcm.r_degrees == 2):
-        raise NotTwoRegularRight("contraction needs every r-vertex to have degree 2")
-    first = bcm.r_offsets[:-1]
-    return RigcGraph(bcm.n_l, bcm.holder[first], bcm.holder[first + 1])

@@ -7,12 +7,10 @@ and its criticality, whose crossing of one is the critical retention
 probability, are the unpercolated formulas read on (p, q_pi).  q_pi comes
 from each shape's exact component-size census (``community.size_census``)
 as sums of nonnegative terms: the theory path never enumerates edge subsets
-or names component shapes.  Only the limiting percolated catalog
-(``mu_pi_limit``), which does name shapes, enumerates.
+or names component shapes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Sequence
 
 import numpy as np
@@ -22,9 +20,6 @@ from .community import (
     CommunityGraph,
     CommunityList,
     check_census_cap,
-    component_members,
-    percolate_enumerate,
-    percolate_sample,
     size_census,
     split_components,
 )
@@ -88,7 +83,8 @@ def build_com_pi(
         g = communities.shapes[t]
         m = g.edge_count
         if m == 0 or pi >= 1.0 or pi <= 0.0:
-            splits = [percolate_sample(g, pi, rng)]
+            # nothing to draw: every group keeps all of its edges or none
+            splits = [split_components(g.n, g.edges if pi >= 1.0 else ())]
             which = np.zeros(len(members), dtype=np.int64)
         else:
             masks = rng.random((len(members), m)) < pi
@@ -107,28 +103,6 @@ def build_com_pi(
     offsets = np.array(outcome_start, dtype=np.int64)[group_outcome] - (np.cumsum(lens) - lens)
     positions = np.arange(int(lens.sum())) + np.repeat(offsets, lens)
     return CommunityList(piece_ids, np.array(table, dtype=np.int64)[positions])
-
-
-def mu_pi_limit(catalog: CommunityCatalog, pi: float) -> CommunityCatalog:
-    """Exact limiting frequency of every percolated component shape.
-
-    Component frequencies are per *new* community: each original community
-    contributes kappa(H | outcome) copies of shape H, and the normalizer is
-    the expected number of split pieces per original community, so the
-    catalog's ``mean_size()`` is the mean percolated community size.
-    """
-    numerator: dict = {}
-    rep: dict = {}
-    denominator = 0.0
-    for g, w in catalog.items:
-        profile = percolate_enumerate(g, pi)
-        for outcome, prob in profile.outcomes:
-            denominator += w * prob * len(outcome)
-            for key in outcome:
-                numerator[key] = numerator.get(key, 0.0) + w * prob
-                if key not in rep:
-                    rep[key] = profile.components_by_key[key]
-    return CommunityCatalog((rep[k], mass / denominator) for k, mass in numerator.items())
 
 
 def _percolated_inputs(p: Pmf, catalog: CommunityCatalog, pi: float) -> TheoryInputs:
@@ -191,7 +165,7 @@ def critical_pi(p: Pmf, catalog: CommunityCatalog, tol: float = 1e-6) -> float:
     return 0.5 * (lo + hi)
 
 
-# -- coupled sweeps and distribution checks ---------------------------------------
+# -- coupled sweeps ---------------------------------------------------------------
 
 
 def harris_sweep(
@@ -244,56 +218,3 @@ def harris_sweep(
             start = end
         out.append(_giant_stats(n, sizes, int(kept[_largest_label(sizes)])))
     return out
-
-
-@dataclass(frozen=True)
-class SizeBiasedCheck:
-    """Total-variation comparison of the two routes to the size-biased
-    percolated community size (minus one)."""
-
-    tv_distance: float
-    law_from_catalog: dict[int, float]
-    law_from_roles: dict[int, float]
-
-
-def sizebiased_comsize_check(
-    communities: Sequence[CommunityGraph],
-    pi: float,
-    rng: np.random.Generator,
-    replicas: int,
-) -> SizeBiasedCheck:
-    """Check that size-biasing the percolated size law matches the component
-    of a uniformly chosen community role."""
-    if replicas < 1:
-        raise OutOfDomain(f"replicas must be >= 1, got {replicas}")
-    communities = CommunityList.of(communities)
-    # route (a): percolate the list once, size-bias its empirical size law
-    pieces = build_com_pi(communities, pi, rng)
-    size_pmf = Pmf.from_counts(np.bincount(pieces.sizes()))
-    law_a = size_pmf.size_bias().shift_down_one().as_dict()
-
-    # route (b): uniform role = size-biased community + uniform member
-    weights = communities.sizes().astype(float)
-    weights /= weights.sum()
-    picks = rng.choice(len(communities), size=replicas, p=weights)
-    counts: dict[int, int] = {}
-    for a in picks:
-        g = communities[a]
-        root = int(rng.integers(1, g.n + 1))
-        if pi >= 1.0:
-            kept = g.edges
-        elif pi <= 0.0:
-            kept = ()
-        else:
-            kept = [e for e in g.edges if rng.random() < pi]
-        for members in component_members(g.n, kept):
-            if root in members:
-                k = len(members) - 1
-                counts[k] = counts.get(k, 0) + 1
-                break
-    law_b = {k: c / replicas for k, c in counts.items()}
-
-    support = set(law_a) | set(law_b)
-    tv = 0.5 * sum(abs(law_a.get(k, 0.0) - law_b.get(k, 0.0)) for k in support)
-    return SizeBiasedCheck(tv_distance=tv, law_from_catalog=law_a, law_from_roles=law_b)
-

@@ -150,10 +150,6 @@ class Pmf:
     def mean(self) -> float:
         return math.fsum(v * w for v, w in zip(self._values, self._weights))
 
-    def factorial_moment2(self) -> float:
-        """E[X(X-1)]."""
-        return math.fsum(v * (v - 1) * w for v, w in zip(self._values, self._weights))
-
     def size_bias(self) -> "Pmf":
         """Reweight by value: P(X* = k) = k P(X = k) / E[X]; mass at 0 vanishes."""
         m = self.mean()
@@ -215,21 +211,6 @@ class Pmf:
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
         return 0.5 * (lo + hi)
-
-    # -- convolution -------------------------------------------------------
-
-    def convolve(self, other: "Pmf") -> "Pmf":
-        """Exact distribution of the independent sum."""
-        return Pmf(convolve_weights(self.as_dict(), other.as_dict()))
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json_obj(self) -> dict:
-        return {"pmf": [[v, w] for v, w in zip(self._values, self._weights)]}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "Pmf":
-        return cls({int(v): float(w) for v, w in obj["pmf"]})
 
 
 def convolve_weights(a: Mapping[int, float], b: Mapping[int, float]) -> dict[int, float]:

@@ -3,12 +3,11 @@
 Everything funnels through one fixed point: the extinction probability of the
 two-stage offspring law obtained by size-biasing both sides of the bipartite
 structure.  From it follow the giant fractions on each side, the in-giant
-joint degree law, the two edge-count formulas, the exploration limit curves,
-and a branching-process simulator used as an independent cross-check.
+joint degree law, the two edge-count formulas and the exploration limit
+curves.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -199,13 +198,27 @@ def edges_in_giant_rigc(inputs: TheoryInputs, prediction: GiantPrediction) -> fl
 
 
 def edges_in_giant_from_joint(inputs: TheoryInputs, prediction: GiantPrediction) -> float:
-    """Edges per individual in the giant, summed from the joint degree law.
+    """Edges per individual in the giant, as half the mean in-giant degree
+    of the joint degree law.
 
-    Agrees with ``edges_in_giant_rigc`` up to rounding; the identity of the
-    two routes is a theory invariant.
+    The law's k-row is p_k times the k-fold power of rho minus that of the
+    extinct role weights w, so its degree moment is p_k k (E[rho] - mu1(w)
+    m(w)^(k-1)), with mu1(w) and m(w) the first moment and the mass of w:
+    one pass over the support of p, no convolution.  m(w) = eta_l, so this
+    route still reads the fixed point.  Agrees with ``edges_in_giant_rigc``
+    up to rounding; the identity of the two routes is a theory invariant.
     """
-    table = joint_degree_in_giant_table(inputs, prediction)
-    return 0.5 * sum(d * a for (_, d), a in table.items())
+    if not prediction.supercritical:
+        raise NotSupercritical("in-giant degree law needs a giant component")
+    dead = _extinct_role_weights(inputs, prediction.eta_r)
+    dead_mass = sum(dead.values())
+    dead_mean = sum(c * w for c, w in dead.items())
+    rho_mean = inputs.rho.mean()
+    return 0.5 * sum(
+        pk * k * (rho_mean - dead_mean * dead_mass ** (k - 1))
+        for k, pk in zip(inputs.p.values, inputs.p.weights)
+        if k  # a k = 0 row has no degree, and m(w) may be 0
+    )
 
 
 # -- the bipartite giant -------------------------------------------------------
@@ -260,65 +273,3 @@ def curve_table(inputs: TheoryInputs, z) -> dict[str, np.ndarray]:
     sleeping = mean_p * z * inputs.p_tilde.gf_eval_many(z)
     living = mean_p * z * inputs.q_tilde.gf_inverse_many(z)
     return {"z": z, "sleeping": sleeping, "living": living, "active": living - sleeping}
-
-
-# -- branching-process cross-check -------------------------------------------
-
-
-def bp_survival_sim(
-    inputs: TheoryInputs,
-    side: str,
-    replicas: int,
-    generation_cap: int,
-    size_cap: int,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Survival frequency of the alternating branching process, with stderr.
-
-    Root offspring follows the plain degree law of the chosen side; later
-    generations alternate between the two tilted laws.  A replica survives if
-    it is still alive at the generation cap or its total progeny reaches the
-    size cap.  Offspring sums are drawn as multinomials over the pmf support,
-    so each generation costs O(support), not O(population).
-    """
-    if side not in ("l", "r"):
-        raise OutOfDomain(f"side must be 'l' or 'r', got {side!r}")
-    if replicas < 1:
-        raise OutOfDomain(f"replicas must be >= 1, got {replicas}")
-    if generation_cap < 1 or size_cap < 1:
-        raise OutOfDomain("caps must be >= 1")
-    if side == "l":
-        root, even, odd = inputs.p, inputs.p_tilde, inputs.q_tilde
-    else:
-        root, even, odd = inputs.q, inputs.q_tilde, inputs.p_tilde
-
-    root_vals = np.array(root.values)
-    alive = rng.choice(root_vals, size=replicas, p=np.array(root.weights)).astype(np.int64)
-    total = 1 + alive
-    survived = np.zeros(replicas, dtype=bool)
-    undecided = alive > 0
-
-    laws = []
-    for law in (odd, even):
-        laws.append((np.array(law.values, dtype=np.int64), np.array(law.weights)))
-
-    for gen in range(1, generation_cap + 1):
-        hit_cap = undecided & (total >= size_cap)
-        survived |= hit_cap
-        undecided &= ~hit_cap
-        idx = np.flatnonzero(undecided)
-        if len(idx) == 0:
-            break
-        values, probs = laws[(gen - 1) % 2]
-        counts = rng.multinomial(alive[idx], probs)
-        children = counts @ values
-        alive[idx] = children
-        total[idx] += children
-        died = np.zeros(replicas, dtype=bool)
-        died[idx] = children == 0
-        undecided &= ~died
-    survived |= undecided  # alive at the generation cap
-
-    frac = float(survived.sum()) / replicas
-    stderr = math.sqrt(max(frac * (1.0 - frac), 0.0) / replicas)
-    return frac, stderr

@@ -9,6 +9,7 @@ import pytest
 
 from rigclab import (
     CommunityCatalog,
+    CommunityGraph,
     Pmf,
     TheoryInputs,
     complete_graph,
@@ -56,6 +57,11 @@ def exact_pgf_inverse(weights: dict[int, Fraction], y: Fraction, iters: int = 80
     return (lo + hi) / 2
 
 
+def relabel(graph: CommunityGraph, perm) -> CommunityGraph:
+    """The graph with vertex ``old`` renamed ``perm[old - 1]``."""
+    return CommunityGraph(graph.n, [(perm[u - 1], perm[v - 1]) for u, v in graph.edges])
+
+
 def gilbert_component_counts(n: int, pi: float) -> list[Fraction]:
     """Exact expected number of components of each size 0..n of the complete
     graph K_n after keeping each edge with probability pi.
@@ -78,8 +84,6 @@ def gilbert_component_counts(n: int, pi: float) -> list[Fraction]:
 
 @pytest.fixture(scope="session")
 def k1():
-    from rigclab import CommunityGraph
-
     return CommunityGraph(1, [])
 
 

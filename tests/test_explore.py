@@ -10,23 +10,25 @@ from rigclab import (
     TheoryInputs,
     bcm_components,
     build_params,
-    coupled_standard_hitting,
     curve_table,
     empirical_catalog,
     empirical_l_pmf,
-    giant_exploration_window,
     giant_prediction,
     hitting_time_curve,
     hitting_times,
     run_exploration,
     sample_params,
-    standard_death_process,
     trajectory_sup_error,
-    zr_process,
 )
 from rigclab import explore, model
 from rigclab.errors import DomainHorizon, EmptyGrid, OutOfDomain
 from conftest import philox
+from oracles import (
+    coupled_standard_hitting,
+    giant_exploration_window,
+    standard_death_process,
+    zr_process,
+)
 
 
 def check_trajectory_invariants(traj):

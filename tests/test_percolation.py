@@ -23,17 +23,17 @@ from rigclab import (
     giant_prediction,
     giant_stats_rigc,
     harris_sweep,
-    mu_pi_limit,
     percolate_rigc_graph,
     path_graph,
+    percolate_enumerate,
     percolated_prediction,
     project_rigc,
     sample_params,
-    sizebiased_comsize_check,
 )
 from rigclab.errors import ExcludedRegime, NotSupercritical, OutOfDomain
 from rigclab.percolation import _percolated_inputs
 from conftest import bisect_eta, philox
+from oracles import mu_pi_limit, sizebiased_comsize_check
 
 
 def k3_rigc(seed=1):
@@ -126,6 +126,33 @@ def test_build_com_pi_matches_per_group_reference(k1, k2, k3, p3, pi):
     flat = [piece for split in expected for piece in split]
     assert list(build_com_pi(listed, pi, philox(32))) == flat
     assert list(build_com_pi(groups, pi, philox(32))) == flat
+
+
+def test_build_com_pi_extremes(k3):
+    rng = np.random.default_rng(25)
+    assert list(build_com_pi([k3], 1.0, rng)) == [k3]
+    pieces = build_com_pi([k3], 0.0, rng)
+    assert [g.n for g in pieces] == [1, 1, 1]
+
+
+def test_build_com_pi_outcomes_match_enumeration(k3):
+    # the pieces of each group, read off in group order (every group of K3
+    # splits into pieces of three vertices in all), against the exact law
+    rng = np.random.default_rng(26)
+    replicas = 100_000
+    pieces = iter(build_com_pi([k3] * replicas, 0.5, rng))
+    counts: dict = {}
+    for _ in range(replicas):
+        comps = [next(pieces)]
+        while sum(c.n for c in comps) < k3.n:
+            comps.append(next(pieces))
+        key = tuple(sorted(canonical_key(c) for c in comps))
+        counts[key] = counts.get(key, 0) + 1
+    assert next(pieces, None) is None
+    exact = dict(percolate_enumerate(k3, 0.5).outcomes)
+    assert set(counts) == set(exact)
+    for key, prob in exact.items():
+        assert counts[key] / replicas == pytest.approx(prob, abs=0.01)
 
 
 def test_build_com_pi_type_frequencies(k3, p3, k2, k1):
@@ -244,7 +271,7 @@ def mixed_catalog():
 
 
 def test_theory_path_does_no_enumeration(monkeypatch):
-    from rigclab import community, percolation
+    from rigclab import community
 
     p = Pmf({1: 0.35, 2: 0.3, 3: 0.2, 5: 0.1, 8: 0.05})
     catalog = mixed_catalog()  # built first: catalogs key their shapes canonically
@@ -262,7 +289,6 @@ def test_theory_path_does_no_enumeration(monkeypatch):
         (community, "percolate_enumerate"),
         (community, "_SubsetCensus"),
         (community, "canonical_key"),
-        (percolation, "percolate_enumerate"),
     ]:
         monkeypatch.setattr(module, name, forbidden)
     monkeypatch.setattr(community, "_size_census_cache", {})
@@ -503,11 +529,18 @@ def test_percolate_graph_equals_sweep_point(p_estar, cat_estar):
             assert graph_route == harris_sweep(g, [pi], philox(50, i))[0]
 
 
+def sizebiased_check_of_build_com_pi(communities, pi, rng, replicas):
+    """The size-biased check on ``build_com_pi``'s pieces; the pieces and the
+    oracle's roles draw from one stream, in that order."""
+    pieces = build_com_pi(communities, pi, rng)
+    return sizebiased_comsize_check(communities, pieces, pi, rng, replicas)
+
+
 def test_sizebiased_check_trivial(k3):
-    report = sizebiased_comsize_check([k3] * 50, 1.0, philox(44), 500)
+    report = sizebiased_check_of_build_com_pi([k3] * 50, 1.0, philox(44), 500)
     assert report.tv_distance == pytest.approx(0.0, abs=1e-12)
     assert report.law_from_catalog == {2: 1.0}
-    report0 = sizebiased_comsize_check([k3] * 50, 0.0, philox(45), 500)
+    report0 = sizebiased_check_of_build_com_pi([k3] * 50, 0.0, philox(45), 500)
     assert report0.tv_distance == pytest.approx(0.0, abs=1e-12)
     assert report0.law_from_catalog == {0: 1.0}
 
@@ -515,11 +548,11 @@ def test_sizebiased_check_trivial(k3):
 @pytest.mark.parametrize("replicas", [0, -3])
 def test_sizebiased_check_refuses_no_replicas(k3, replicas):
     with pytest.raises(OutOfDomain, match="replicas"):
-        sizebiased_comsize_check([k3] * 50, 0.5, philox(47), replicas)
+        sizebiased_check_of_build_com_pi([k3] * 50, 0.5, philox(47), replicas)
 
 
 def test_sizebiased_check_half(k3):
-    report = sizebiased_comsize_check([k3] * 10_000, 0.5, philox(46), 100_000)
+    report = sizebiased_check_of_build_com_pi([k3] * 10_000, 0.5, philox(46), 100_000)
     assert report.tv_distance < 0.02
     # exact law of the root component size minus one at pi = 1/2
     exact = {0: 0.25, 1: 0.25, 2: 0.5}

@@ -11,7 +11,6 @@ from rigclab import (
     Pmf,
     TheoryInputs,
     bcm_predictions,
-    bp_survival_sim,
     complete_graph,
     curve_table,
     cycle_graph,
@@ -25,6 +24,7 @@ from rigclab import (
 )
 from rigclab.errors import ExcludedRegime, NotSupercritical, OutOfDomain
 from conftest import bisect_eta, exact_pgf_inverse, philox
+from oracles import bp_survival_sim
 
 
 def make_inputs(p_entries, catalog_items):
@@ -180,6 +180,28 @@ def test_edge_formulas_agree_on_mixed_catalog():
     assert edges_in_giant_from_joint(inputs, pred) == pytest.approx(
         edges_in_giant_rigc(inputs, pred), abs=1e-8
     )
+
+
+@pytest.mark.parametrize(
+    "p_entries,catalog_items",
+    [
+        ({1: 0.5, 3: 0.5}, [(complete_graph(3), 1.0)]),
+        ({1: 0.3, 2: 0.4, 4: 0.3},
+         [(complete_graph(2), 0.25), (complete_graph(3), 0.5), (path_graph(4), 0.25)]),
+        # a k = 0 row, and an extinct role law of mass eta_l = 0
+        ({0: 0.3, 2: 0.7}, [(complete_graph(3), 1.0)]),
+        ({1: 0.2, 5: 0.5, 8: 0.3},
+         [(complete_graph(2), 0.4), (cycle_graph(5), 0.35), (path_graph(3), 0.25)]),
+    ],
+)
+def test_edges_from_joint_is_half_the_table_degree_mean(p_entries, catalog_items):
+    """Summing d over the whole (k, d) table gives the moment identity that
+    ``edges_in_giant_from_joint`` evaluates without building the table."""
+    inputs = make_inputs(p_entries, catalog_items)
+    pred = giant_prediction(inputs)
+    table = joint_degree_in_giant_table(inputs, pred)
+    from_table = 0.5 * sum(d * a for (_, d), a in table.items())
+    assert edges_in_giant_from_joint(inputs, pred) == pytest.approx(from_table, rel=1e-12)
 
 
 def test_size_only_inputs(inputs_estar):

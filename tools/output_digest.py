@@ -10,7 +10,15 @@ leaves every output byte-identical (or exactly which files move):
 The matrix is three inputs (triangles, a seven-shape mixed catalog, an
 explicit community list) x seeds 7, 4101, 5150 x threads 1 and 2 x all eight
 modes.  Each line is ``<input>/<mode>/seed<s>/threads<t> <file> <sha256>``,
-plus one ``exit`` line per invocation, so a changed exit code shows too.
+plus one ``exit`` line per invocation, so a changed exit code shows too.  Two
+``#`` header lines name the numpy version and the platform, which the random
+streams and the floating-point library depend on.
+
+``tests/data/output_digest.txt`` is the listing of the committed tree, and
+``tests/test_output_digest.py`` regenerates it and compares every line.  A
+change that moves outputs on purpose rewrites it:
+
+    PYTHONPATH=src python tools/output_digest.py > tests/data/output_digest.txt
 """
 from __future__ import annotations
 
@@ -18,9 +26,13 @@ import contextlib
 import hashlib
 import io
 import json
+import platform
 import sys
 import tempfile
+from collections.abc import Iterator
 from pathlib import Path
+
+import numpy as np
 
 from rigclab.cli import MODES, run
 
@@ -107,16 +119,26 @@ def run_mode(work: Path, name: str, inputs: dict, mode: str, seed: int, threads:
     return lines
 
 
-def main() -> int:
+def header() -> list[str]:
+    return [f"# numpy {np.__version__}", f"# platform {platform.system()}-{platform.machine()}"]
+
+
+def listing() -> Iterator[str]:
+    """Every line of the listing after the header, in matrix order."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for name, inputs in INPUTS.items():
             for seed in SEEDS:
                 for threads in THREADS:
                     for mode in MODES:
-                        for line in run_mode(work, name, inputs, mode, seed, threads):
-                            print(line)
-                        sys.stdout.flush()
+                        yield from run_mode(work, name, inputs, mode, seed, threads)
+
+
+def main() -> int:
+    print("\n".join(header()))
+    for line in listing():
+        print(line)
+        sys.stdout.flush()
     return 0
 
 
