@@ -307,9 +307,11 @@ CSV_CHUNK = 1 << 12
 def _write_csv(path: Path, header: list[str], rows: Iterable[tuple]) -> None:
     """Write ``rows`` under ``header``, ``CSV_CHUNK`` rows at a time.
 
-    Every cell prints as ``str`` of its value: a float prints as its shortest
-    round-trip repr (``nan``, ``-0.0``, ``1e+22``), and a JSON int from the
-    config (``c_grid``, ``pi_grid``) prints without ``.0``.
+    This serves the small mixed tables, whose cells are Python values: JSON
+    numbers from the config, text cells such as a route name, and per-replica
+    summaries.  Every cell prints as ``str`` of its value: a float prints as
+    its shortest round-trip repr (``nan``, ``-0.0``, ``1e+22``), and a JSON
+    int from the config (``c_grid``, ``pi_grid``) prints without ``.0``.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
@@ -325,11 +327,62 @@ def _write_rows(fh, width: int, rows: Iterable[tuple]) -> None:
         fh.write(text)
 
 
-def _column_rows(columns: list[np.ndarray]) -> Iterator[tuple]:
-    """Row tuples of equal-length numpy columns, converted ``CSV_CHUNK`` rows
-    at a time."""
-    for i in range(0, len(columns[0]), CSV_CHUNK):
-        yield from zip(*(col[i : i + CSV_CHUNK].tolist() for col in columns))
+def _int_cells(col: np.ndarray) -> np.ndarray:
+    """ASCII cells of an integer column: a sign byte, then the digits right
+    aligned, NUL where a cell is shorter than the longest."""
+    neg = col < 0
+    # the magnitude as uint64, where -(int64 min) = 2**63 still fits
+    mag = col.astype(np.uint64)
+    np.negative(mag, out=mag, where=neg)
+    width = len(str(mag.max()))
+    cells = np.zeros((len(col), width + 1), np.uint8)
+    cells[neg, 0] = ord("-")
+    for j in range(width, 0, -1):
+        # floor division by a scalar is several times faster than divmod
+        quot = mag // 10
+        digit = (mag - quot * 10).astype(np.uint8) + ord("0")
+        if j < width:
+            digit *= mag != 0  # a leading zero stays NUL
+        cells[:, j] = digit
+        mag = quot
+    return cells
+
+
+def _float_cells(col: np.ndarray) -> np.ndarray:
+    """ASCII cells of a float column, NUL padded: one ``repr`` per run of
+    equal bit patterns, so ``0.0`` and ``-0.0`` are two runs."""
+    values = col.astype(np.float64, copy=False)
+    bits = values.view(np.uint64)
+    starts = np.ones(len(bits), bool)
+    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+    # no float repr is longer than 24 characters (-2.2250738585072014e-308)
+    texts = np.array(list(map(repr, values[starts].tolist())), dtype="S24")
+    return texts[np.cumsum(starts) - 1].view(np.uint8).reshape(len(values), 24)
+
+
+def _write_columns(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write equal-length numpy columns under ``header``, with the bytes
+    ``_write_csv`` would write for their ``.tolist()`` rows.
+
+    This serves the column tables, whose cells all come from numpy arrays:
+    each replica's ``trajectory_r{r}.csv`` and ``rigc_edges_r{r}.csv``, and
+    theory's ``curves.csv``.  Each block of ``CSV_CHUNK`` rows becomes one
+    ``uint8`` matrix of integer digits, float reprs, commas and newlines, and
+    its non-NUL bytes are the block's text: no cell is a Python object
+    except one ``repr`` per run of equal floats.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for i in range(0, len(columns[0]), CSV_CHUNK):
+            cells = [
+                (_float_cells if col.dtype.kind == "f" else _int_cells)(col[i : i + CSV_CHUNK])
+                for col in columns
+            ]
+            comma = np.full((len(cells[0]), 1), ord(","), np.uint8)
+            mat = np.hstack([part for block in cells for part in (block, comma)])
+            mat[:, -1] = ord("\n")
+            fh.write(mat[mat != 0].tobytes())
 
 
 def _map_replicas(fn, replicas: range, threads: int) -> Iterator:
@@ -437,11 +490,11 @@ def _job_explore(exp: Experiment, replica: int) -> dict:
     tau_lim = theory_mod.hitting_time_curve(inputs, exp.c_grid).tolist()
 
     out = exp.out_dir
-    _write_csv(
+    _write_columns(
         out / f"trajectory_r{replica}.csv",
         ["t", "step", "L", "S", "S_hat", "A", "W"],
-        _column_rows([traj.times, traj.kinds, traj.living, traj.sleeping, traj.sleeping_hat,
-                      traj.active, traj.waiting]),
+        [traj.times, traj.kinds, traj.living, traj.sleeping, traj.sleeping_hat, traj.active,
+         traj.waiting],
     )
     _write_csv(
         out / f"components_r{replica}.csv",
@@ -462,10 +515,10 @@ def _job_explore(exp: Experiment, replica: int) -> dict:
 def _job_generate(exp: Experiment, replica: int) -> dict:
     params, rigc = _sample(exp, replica)
     shape_objs = [g.to_json_obj() for g in params.communities.shapes]
-    _write_csv(
+    _write_columns(
         exp.out_dir / f"rigc_edges_r{replica}.csv",
         ["u", "v", "mult"],
-        _column_rows(list(_aggregate_edges(rigc.n_vertices, rigc.edge_u, rigc.edge_v))),
+        list(_aggregate_edges(rigc.n_vertices, rigc.edge_u, rigc.edge_v)),
     )
     _write_json(
         exp.out_dir / f"params_r{replica}.json",
@@ -501,10 +554,10 @@ def _run_theory(exp: Experiment) -> int:
         # community is a singleton; skip the table then
         z = np.linspace(max(q0, 1e-9), 1.0, 201)
         curves = theory_mod.curve_table(inputs, z)
-        _write_csv(
+        _write_columns(
             exp.out_dir / "curves.csv",
             ["z", "sleeping", "living", "active"],
-            zip(*(curves[k].tolist() for k in ("z", "sleeping", "living", "active"))),
+            [curves[k] for k in ("z", "sleeping", "living", "active")],
         )
     _write_csv(
         exp.out_dir / "tau_curve.csv",

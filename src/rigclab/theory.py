@@ -15,7 +15,7 @@ import numpy as np
 from .community import CommunityCatalog
 from .components import BcmGiantStats
 from .errors import ExcludedRegime, NonConvergence, NotSupercritical, OutOfDomain
-from .pmf import Pmf, convolve_power
+from .pmf import Pmf
 
 #: fixed-point iteration stops when the increment drops below this
 FIXED_POINT_INCREMENT = 1e-13
@@ -161,28 +161,53 @@ def _extinct_role_weights(inputs: TheoryInputs, eta_r: float) -> dict[int, float
     return w
 
 
+def _dense_power(base: np.ndarray, k: int) -> np.ndarray:
+    """k-fold convolution power of a dense weight array, by squaring.
+
+    ``np.convolve`` sums products directly, never by FFT, so a degree no sum
+    of k role degrees reaches keeps its exact 0.
+    """
+    out = np.ones(1)
+    while k:
+        if k & 1:
+            out = np.convolve(out, base)
+        k >>= 1
+        if k:
+            base = np.convolve(base, base)
+    return out
+
+
 def joint_degree_in_giant_table(
     inputs: TheoryInputs, prediction: GiantPrediction
 ) -> dict[tuple[int, int], float]:
     """Limiting fraction of vertices with k memberships and degree d in the
-    giant, for every (k, d) of the law's finite support, in one pass over
-    the support of p.
+    giant, for every (k, d) of the law's finite support, in one ascending
+    pass over the support of p.
 
     Exact algebraic factorization: the survival discount factorizes over the
     k communities, so the double sum collapses to a difference of k-fold
-    convolutions (full role-degree law minus the discounted one).
+    convolutions (full role-degree law minus the discounted one).  Both
+    powers are carried from one k to the next and multiplied by the power
+    for the gap.
     """
     if not prediction.supercritical:
         raise NotSupercritical("in-giant degree law needs a giant component")
-    dead_base = _extinct_role_weights(inputs, prediction.eta_r)
+    dead_weights = _extinct_role_weights(inputs, prediction.eta_r)
+    rho_base = np.zeros(max(inputs.rho.values) + 1)
+    rho_base[list(inputs.rho.values)] = inputs.rho.weights
+    # dead's support lies within rho's, so both arrays have one length
+    dead_base = np.zeros_like(rho_base)
+    dead_base[list(dead_weights)] = list(dead_weights.values())
+    full = dead = np.ones(1)
     table: dict[tuple[int, int], float] = {}
+    prev = 0
     for k, pk in zip(inputs.p.values, inputs.p.weights):
-        full = convolve_power(inputs.rho, k)
-        dead = convolve_power(dead_base, k)
-        for d in sorted(full):  # dead's support lies within full's
-            a = pk * (full[d] - dead.get(d, 0.0))
-            if a != 0.0:
-                table[(k, d)] = a
+        full = np.convolve(full, _dense_power(rho_base, k - prev))
+        dead = np.convolve(dead, _dense_power(dead_base, k - prev))
+        prev = k
+        row = pk * (full - dead)
+        support = np.flatnonzero(row)
+        table.update(zip(((k, d) for d in support.tolist()), row[support].tolist()))
     return table
 
 

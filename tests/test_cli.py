@@ -14,7 +14,7 @@ import rigclab
 from conftest import gilbert_component_counts, philox
 from rigclab import CommunityCatalog, Pmf, complete_graph, run_exploration, sample_params
 from rigclab import cli, model
-from rigclab.cli import DEFAULT_TOLERANCES, _column_rows, _write_csv, compare, run
+from rigclab.cli import DEFAULT_TOLERANCES, _write_columns, _write_csv, compare, run
 from rigclab.errors import KeyMismatch
 
 ESTAR_INPUTS = {
@@ -653,6 +653,24 @@ def test_trajectory_csv_matches_exploration(tmp_path):
         assert [parse(c) for c in column] == expected[name].tolist(), name
 
 
+@pytest.mark.parametrize(
+    "mode,name,fields", [("explore", "trajectory_r0.csv", 7), ("generate", "rigc_edges_r0.csv", 3)]
+)
+def test_column_tables_hold_no_padding(tmp_path, mode, name, fields):
+    """A column table is written from NUL-padded blocks: no NUL byte may
+    survive, and every line keeps its field count."""
+    cfg = write_config(
+        tmp_path, "cfg.json", inputs=ESTAR_INPUTS, target_n=3_000, replicas=1, seed=3,
+        out_dir=str(tmp_path / "out"),
+    )
+    assert run(cfg, mode=mode) == 0
+    data = (tmp_path / "out" / name).read_bytes()
+    assert b"\0" not in data
+    lines = data.decode("ascii").splitlines()
+    assert len(lines) > cli.CSV_CHUNK
+    assert {line.count(",") + 1 for line in lines} == {fields}
+
+
 def repr_csv(header, rows) -> bytes:
     """Oracle: each cell is ``repr`` of its Python value."""
     lines = [",".join(header)] + [",".join(repr(x) for x in row) for row in rows]
@@ -686,13 +704,45 @@ def repr_csv(header, rows) -> bytes:
             [np.arange(2 * cli.CSV_CHUNK + 5), philox(21).random(2 * cli.CSV_CHUNK + 5)],
             id="longer-than-chunk",
         ),
+        pytest.param(
+            # one run of equal times from the first block into the second
+            [np.repeat([0.1, 2.0 / 3.0, 1e-05], [cli.CSV_CHUNK - 3, 7, 4]),
+             np.arange(cli.CSV_CHUNK + 8)],
+            id="run-across-chunk",
+        ),
+        pytest.param(
+            # equal as floats, not as bit patterns: each prints its own sign
+            [np.array([0.0, -0.0, -0.0, 0.0, 0.0]), np.array([1, 2, 3, 4, 5])],
+            id="signed-zeros",
+        ),
+        pytest.param(
+            [np.array([math.nan, math.nan, math.nan, 1.5, math.copysign(math.nan, -1.0),
+                       math.nan])],
+            id="nan-run",
+        ),
+        pytest.param(
+            [np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1, 0]),
+             np.array([-128, 127, 0, -1], dtype=np.int8),
+             np.array([np.iinfo(np.uint32).max, 0, 1, 10], dtype=np.uint32),
+             np.array([np.iinfo(np.uint64).max, 0, 9, 10], dtype=np.uint64)],
+            id="int-extremes-by-dtype",
+        ),
+        pytest.param(
+            [np.zeros(9, dtype=np.int64), np.zeros(9, dtype=np.int8), np.zeros(9)],
+            id="all-zeros",
+        ),
+        pytest.param(
+            [np.array([], dtype=np.int8), np.array([], dtype=np.uint32),
+             np.array([], dtype=np.int32)],
+            id="zero-rows-narrow",
+        ),
     ],
 )
 def test_write_columns_matches_write_csv(tmp_path, columns):
-    """A column table written through ``_column_rows`` and ``_write_csv``
-    holds ``repr`` of every ``.tolist()`` value, row by row."""
+    """A column table written by ``_write_columns`` holds ``repr`` of every
+    ``.tolist()`` value, row by row."""
     header = [f"c{i}" for i in range(len(columns))]
-    _write_csv(tmp_path / "columns.csv", header, _column_rows(columns))
+    _write_columns(tmp_path / "columns.csv", header, columns)
     rows = list(zip(*(c.tolist() for c in columns)))
     assert (tmp_path / "columns.csv").read_bytes() == repr_csv(header, rows)
 

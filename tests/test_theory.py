@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -201,6 +202,23 @@ def test_edges_from_joint_is_half_the_table_degree_mean(p_entries, catalog_items
     pred = giant_prediction(inputs)
     table = joint_degree_in_giant_table(inputs, pred)
     from_table = 0.5 * sum(d * a for (_, d), a in table.items())
+    assert edges_in_giant_from_joint(inputs, pred) == pytest.approx(from_table, rel=1e-12)
+
+
+def test_joint_degree_table_on_wide_support_is_fast():
+    """One ascending pass with carried powers: k = 2000 costs one power for
+    the gap, not 2000 convolutions rebuilt for each k of the support."""
+    inputs = make_inputs(
+        {1: 0.99, 2000: 0.01},
+        [(complete_graph(2), 0.3), (path_graph(4), 0.3), (complete_graph(5), 0.4)],
+    )
+    pred = giant_prediction(inputs)
+    start = time.perf_counter()
+    table = joint_degree_in_giant_table(inputs, pred)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0
+    assert math.fsum(table.values()) == pytest.approx(pred.xi_l, abs=1e-12)
+    from_table = 0.5 * math.fsum(d * a for (_, d), a in table.items())
     assert edges_in_giant_from_joint(inputs, pred) == pytest.approx(from_table, rel=1e-12)
 
 
