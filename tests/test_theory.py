@@ -14,6 +14,7 @@ from rigclab import (
     bcm_predictions,
     complete_graph,
     curve_table,
+    convolve_power,
     cycle_graph,
     edges_in_giant_from_joint,
     edges_in_giant_rigc,
@@ -55,6 +56,31 @@ def literal_joint_in_giant(inputs, prediction, k, d):
 
         total += discount * comp_sum(0, d)
     return inputs.p.prob(k) * total
+
+
+def convolved_joint_in_giant(inputs, prediction):
+    """The (k, d) table from sparse convolution powers rebuilt for each k.
+
+    Polynomial in k, so it reaches the catalogs and supports that the
+    literal sum cannot; used as the oracle for the carried dense powers.
+    """
+    er = inputs.q.mean()
+    dead = {}
+    for g, mu in inputs.catalog.items:
+        for c, count in g.degree_census().items():
+            dead[c] = dead.get(c, 0.0) + count * mu * prediction.eta_r ** (g.n - 1) / er
+    table = {}
+    for k, pk in zip(inputs.p.values, inputs.p.weights):
+        full, gone = convolve_power(inputs.rho, k), convolve_power(dead, k)
+        for d in sorted(full):
+            a = pk * (full[d] - gone.get(d, 0.0))
+            if a != 0.0:
+                table[(k, d)] = a
+    return table
+
+
+def star_graph(n):
+    return CommunityGraph(n, [(1, v) for v in range(2, n + 1)])
 
 
 def test_solver_matches_bisection_oracle(inputs_estar):
@@ -205,13 +231,48 @@ def test_edges_from_joint_is_half_the_table_degree_mean(p_entries, catalog_items
     assert edges_in_giant_from_joint(inputs, pred) == pytest.approx(from_table, rel=1e-12)
 
 
-def test_joint_degree_table_on_wide_support_is_fast():
-    """One ascending pass with carried powers: k = 2000 costs one power for
-    the gap, not 2000 convolutions rebuilt for each k of the support."""
-    inputs = make_inputs(
-        {1: 0.99, 2000: 0.01},
-        [(complete_graph(2), 0.3), (path_graph(4), 0.3), (complete_graph(5), 0.4)],
-    )
+@pytest.mark.parametrize(
+    "catalog_items",
+    [
+        # one role degree: every sum of k of them is the single point 11k
+        [(complete_graph(12), 1.0)],
+        # role degrees 1 and 8 share the stride 7
+        [(complete_graph(2), 0.5), (star_graph(9), 0.5)],
+        # role degrees 1, 2 and 39: sums of k of them fill a small share of
+        # 1..39k, which the sparse branch of the convolution serves
+        [(path_graph(3), 0.5), (star_graph(40), 0.5)],
+        [(complete_graph(2), 0.3), (cycle_graph(6), 0.3), (star_graph(25), 0.4)],
+    ],
+    ids=["complete", "stride", "sparse", "mixed"],
+)
+def test_joint_degree_table_matches_convolution_powers(catalog_items):
+    inputs = make_inputs({1: 0.4, 2: 0.3, 7: 0.2, 12: 0.1}, catalog_items)
+    pred = giant_prediction(inputs)
+    table = joint_degree_in_giant_table(inputs, pred)
+    oracle = convolved_joint_in_giant(inputs, pred)
+    assert list(table) == list(oracle)
+    for key, a in oracle.items():
+        assert table[key] == pytest.approx(a, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "p_entries,catalog_items",
+    [
+        ({1: 0.99, 2000: 0.01},
+         [(complete_graph(2), 0.3), (path_graph(4), 0.3), (complete_graph(5), 0.4)]),
+        # one large community: the dense arrays step by its role degree 99
+        ({1: 0.99, 2000: 0.01}, [(complete_graph(100), 1.0)]),
+        # a large star beside a path: role degrees 1, 2 and 999
+        ({1: 0.99, 200: 0.01}, [(path_graph(3), 0.5), (star_graph(1000), 0.5)]),
+    ],
+    ids=["small-shapes", "complete-100", "path-and-star-1000"],
+)
+def test_joint_degree_table_on_wide_support_is_fast(p_entries, catalog_items):
+    """One ascending pass with carried powers: the largest k costs one power
+    for the gap, not a convolution rebuilt for each k of the support, and
+    the power's length follows the sums that occur, not k times the largest
+    role degree."""
+    inputs = make_inputs(p_entries, catalog_items)
     pred = giant_prediction(inputs)
     start = time.perf_counter()
     table = joint_degree_in_giant_table(inputs, pred)
