@@ -60,7 +60,7 @@ from .percolation import (
     percolate_rigc_graph,
     percolated_prediction,
 )
-from .pmf import Pmf, convolve_power, convolve_weights
+from .pmf import Pmf
 from .theory import (
     GiantPrediction,
     TheoryInputs,

@@ -17,7 +17,8 @@ from .model import BcmGraph, RigcGraph, check_communities
 
 #: the joint law is counted in a dense table while its codes stay below this many per vertex
 _DENSE_CODES_PER_VERTEX = 4
-#: projected degrees are summed over blocks of about this many r-positions
+#: projected degrees are summed over blocks of about this many r-positions,
+#: and the joint law's codes formed over blocks of this many individuals
 _BLOCK_ROLES = 1 << 16
 
 
@@ -31,29 +32,38 @@ def _labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     now share a root drop out (self-loops before the first round).  A pointer
     only ever moves down, so each root is the lowest vertex of its tree, and
     numbering roots by rank numbers components by their lowest vertex.
-    Every array, the labels included, takes the dtype of ``u``.
+    Every array, the labels included, takes the dtype of ``u``.  ``u`` and
+    ``v`` are only read, and each round drops its edge arrays as soon as
+    their successors exist: at most four edge arrays (the ends, then their
+    minima and maxima) are alive at once.
     """
     parent = np.arange(n, dtype=u.dtype)
     roots = parent.copy()
     live = u != v
     u = u[live]
     v = v[live]
+    del live
     while len(u):
         lo = np.minimum(u, v)
         hi = np.maximum(u, v)
+        del u, v
         np.minimum.at(parent, hi, lo)
         hooked = parent[roots] != roots
         moved = roots[hooked]
         roots = roots[~hooked]
+        del hooked
         while True:
             up = parent[moved]
             up_up = parent[up]
             if np.array_equal(up, up_up):
                 break
             parent[moved] = up_up
+        del moved, up, up_up
         # lo and hi were roots, so these are the ends' new roots
         u = parent[lo]
+        del lo
         v = parent[hi]
+        del hi
         live = u != v
         u = u[live]
         v = v[live]
@@ -79,15 +89,29 @@ def _first_holders(bcm: BcmGraph) -> np.ndarray:
 def bcm_components(bcm: BcmGraph) -> np.ndarray:
     """Labels over the union of partitions: l-vertex v is v, r-vertex a is n_l + a.
 
-    Components are numbered by their lowest vertex.  Every group has at least
-    one member (``BcmGraph`` checks it), so that vertex is an individual: the individuals are labeled
-    over one star per group (its first holder joined to every holder), and
-    each group takes the label of its first holder.  This needs nothing of
-    the community graphs.
+    Components are numbered by their lowest vertex.  Every group has at
+    least one member (``BcmGraph`` checks it), so that vertex is an
+    individual: the individuals are labeled over one star per group, its
+    first holder joined to the holder of each later position (h - n_r
+    edges), and each group takes the label of its first holder.  This needs
+    nothing of the community graphs.
     """
-    heads = _first_holders(bcm)
-    l_labels = _labels(bcm.n_l, np.repeat(heads, bcm.r_degrees), bcm.holder)
-    return np.concatenate([l_labels, l_labels[heads]])
+    # the star edges are passed as temporaries: CPython 3.11+ (the declared
+    # minimum) then leaves the callee's frame their only references, and its
+    # first round frees them
+    l_labels = _labels(
+        bcm.n_l,
+        np.repeat(_first_holders(bcm), bcm.r_degrees - 1),
+        bcm.holder[_later_roles(bcm)],
+    )
+    return np.concatenate([l_labels, l_labels[_first_holders(bcm)]])
+
+
+def _later_roles(bcm: BcmGraph) -> np.ndarray:
+    """Mask of the r-positions after the first of their group."""
+    later = np.ones(bcm.half_edges, dtype=bool)
+    later[bcm.r_offsets[:-1]] = False
+    return later
 
 
 def _largest_label(sizes: np.ndarray) -> int:
@@ -144,20 +168,45 @@ class BcmGiantStats:
         }
 
 
-def _joint_law(ks: np.ndarray, ds: np.ndarray, n: int) -> dict[tuple[int, int], float]:
-    """(membership count, projected degree) -> count / n over the paired
-    values ``ks`` and ``ds``, in ascending key order."""
-    width = int(ds.max()) + 1
-    codes = ks * width + ds
-    if int(codes.max()) < _DENSE_CODES_PER_VERTEX * n:
-        counts = np.bincount(codes)
-        codes = np.flatnonzero(counts)
-        counts = counts[codes]
-    else:
-        # heavy-tailed degrees: a dense (k, d) table would outgrow the graph
-        codes, counts = np.unique(codes, return_counts=True)
+def _joint_law(
+    ks: np.ndarray, ds: np.ndarray, chosen: np.ndarray
+) -> dict[tuple[int, int], float]:
+    """(membership count, projected degree) -> count / n over the individuals
+    marked in ``chosen`` (at least one), of the n paired values ``ks`` and
+    ``ds``, in ascending key order.
+
+    The pairs are counted over blocks of ``_BLOCK_ROLES`` individuals, so no
+    temporary holds one entry per chosen individual.  Each block codes its
+    pairs as k * width + d with its own width and counts them in a dense
+    table while its largest code stays below ``_DENSE_CODES_PER_VERTEX`` per
+    individual of the block, by sorting otherwise; the blocks' distinct
+    pairs are then merged.
+    """
+    n = len(ks)
+    parts = []
+    for lo in range(0, n, _BLOCK_ROLES):
+        sel = chosen[lo : lo + _BLOCK_ROLES]
+        k = ks[lo : lo + _BLOCK_ROLES][sel]
+        d = ds[lo : lo + _BLOCK_ROLES][sel]
+        if not len(k):
+            continue
+        width = int(d.max()) + 1
+        codes = k * width + d
+        if int(codes.max()) < _DENSE_CODES_PER_VERTEX * len(sel):
+            counts = np.bincount(codes)
+            codes = np.flatnonzero(counts)
+            counts = counts[codes]
+        else:
+            # heavy-tailed degrees: a dense (k, d) table would outgrow the block
+            codes, counts = np.unique(codes, return_counts=True)
+        parts.append((*np.divmod(codes, width), counts))
+    k, d, counts = (np.concatenate(part) for part in zip(*parts))
+    width = int(d.max()) + 1
+    codes, slot = np.unique(k * width + d, return_inverse=True)
+    total = np.zeros(len(codes), dtype=np.int64)
+    np.add.at(total, slot, counts)
     k_of, d_of = np.divmod(codes, width)
-    return {(k, d): c / n for k, d, c in zip(k_of.tolist(), d_of.tolist(), counts.tolist())}
+    return {(k, d): c / n for k, d, c in zip(k_of.tolist(), d_of.tolist(), total.tolist())}
 
 
 def _giant_stats(n: int, sizes: np.ndarray, edges: int) -> GiantStats:
@@ -219,11 +268,9 @@ def joint_in_giant_from_bcm(
     """
     communities = CommunityList.of(communities)
     check_communities(bcm, communities)
-    n = bcm.n_l
-    labels = labels[:n]
-    mask = labels == _largest_label(np.bincount(labels))
-    degrees = _projected_degrees(bcm, communities)
-    return _joint_law(bcm.l_degrees[mask], degrees[mask], n)
+    labels = labels[: bcm.n_l]
+    in_giant = labels == _largest_label(np.bincount(labels))
+    return _joint_law(bcm.l_degrees, _projected_degrees(bcm, communities), in_giant)
 
 
 def _projected_degrees(bcm: BcmGraph, communities: CommunityList) -> np.ndarray:

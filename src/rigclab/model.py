@@ -30,10 +30,11 @@ INDEX32_LIMIT = 1 << 31
 
 
 def index_dtype(count: int) -> type:
-    """The dtype of the matching's index arrays (``matching``, ``l_owner``,
-    ``holder`` and the component labels) for ``count`` = h + n_l + n_r:
-    int32 below ``INDEX32_LIMIT``, int64 otherwise.  Products and sums of
-    degrees stay int64 wherever they are formed."""
+    """The dtype of the matching's index arrays (``matching``,
+    ``r_offsets``, ``l_owner``, ``holder`` and the component labels) for
+    ``count`` = h + n_l + n_r: int32 below ``INDEX32_LIMIT``, int64
+    otherwise.  Products and sums of degrees stay int64 wherever they are
+    formed."""
     return np.int32 if count < INDEX32_LIMIT else np.int64
 
 
@@ -169,14 +170,15 @@ class BcmGraph:
     ``l_owner[p]``, and r-vertex a owns the r-positions ``r_offsets[a]`` up
     to ``r_offsets[a + 1]``; ``matching[p]`` is the r-position paired with
     l-position p.  Keeping positions makes the edge labels (i, l)
-    recoverable, which is what the projection consumes.
+    recoverable, which is what the projection consumes.  ``matching`` and
+    ``r_offsets`` take the index dtype; ``l_owner`` is not stored but
+    computed on each access.
     """
 
     l_degrees: np.ndarray
     r_degrees: np.ndarray
     matching: np.ndarray
-    l_owner: np.ndarray = field(repr=False, default=None)
-    r_offsets: np.ndarray = field(repr=False, default=None)
+    r_offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         h = int(self.l_degrees.sum())
@@ -194,11 +196,9 @@ class BcmGraph:
             raise InconsistentMatching("matching is not a bijection over half-edges")
         idx = index_dtype(h + len(self.l_degrees) + len(self.r_degrees))
         object.__setattr__(self, "matching", m.astype(idx, copy=False))
-        object.__setattr__(
-            self, "l_owner", np.repeat(np.arange(len(self.l_degrees), dtype=idx), self.l_degrees)
-        )
-        offs = np.zeros(len(self.r_degrees) + 1, dtype=np.int64)
-        np.cumsum(self.r_degrees, out=offs[1:])
+        # every offset is at most h, so the index dtype holds it
+        offs = np.zeros(len(self.r_degrees) + 1, dtype=idx)
+        np.cumsum(self.r_degrees, dtype=idx, out=offs[1:])
         object.__setattr__(self, "r_offsets", offs)
 
     @property
@@ -213,10 +213,15 @@ class BcmGraph:
     def half_edges(self) -> int:
         return len(self.matching)
 
+    @property
+    def l_owner(self) -> np.ndarray:
+        """Per l-position: the individual it belongs to (a new array each access)."""
+        return np.repeat(np.arange(self.n_l, dtype=self.matching.dtype), self.l_degrees)
+
     @cached_property
     def holder(self) -> np.ndarray:
         """Per r-position: the individual whose half-edge is matched to it."""
-        holder = np.empty_like(self.l_owner)
+        holder = np.empty_like(self.matching)
         holder[self.matching] = self.l_owner
         holder.flags.writeable = False  # cached: every caller shares this array
         return holder

@@ -1,8 +1,8 @@
 """Finite probability mass functions on the nonnegative integers.
 
 Carries the generating-function algebra everything else is built on:
-evaluation and inversion of the PGF on [0, 1], size-biasing, the
-shift-by-one transform of a size-biased law, and exact convolution.
+evaluation and inversion of the PGF on [0, 1], size-biasing, and the
+shift-by-one transform of a size-biased law.
 """
 from __future__ import annotations
 
@@ -211,27 +211,3 @@ class Pmf:
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
         return 0.5 * (lo + hi)
-
-
-def convolve_weights(a: Mapping[int, float], b: Mapping[int, float]) -> dict[int, float]:
-    """Convolution of two (sub-probability) weight maps."""
-    out: dict[int, float] = {}
-    for va, wa in a.items():
-        for vb, wb in b.items():
-            out[va + vb] = out.get(va + vb, 0.0) + wa * wb
-    return out
-
-
-def convolve_power(base: "Pmf | Mapping[int, float]", k: int) -> dict[int, float]:
-    """k-fold convolution of a weight map (sub-probability allowed).
-
-    k = 0 yields the empty-sum point mass {0: 1.0} regardless of the input
-    mass, matching (total mass)^0 = 1.
-    """
-    if k < 0:
-        raise OutOfDomain(f"convolution power must be >= 0, got {k}")
-    weights = base.as_dict() if isinstance(base, Pmf) else dict(base)
-    out = {0: 1.0}
-    for _ in range(k):
-        out = convolve_weights(out, weights)
-    return out

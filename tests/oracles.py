@@ -2,19 +2,21 @@
 
 These are proof devices of the paper, not its predictions: a branching-process
 survival simulation, the exact limiting percolated catalog, the two routes to
-the size-biased percolated community size, and the death-process and
-size-biased wake couplings of the exploration.  No CLI mode needs them, so
+the size-biased percolated community size, the death-process and
+size-biased wake couplings of the exploration, and the sparse convolution
+powers that check the theory's dense ones.  No CLI mode needs them, so
 they live beside the tests.  None calls the rigclab function that the tests
 using it check; they read only the inputs and outputs of that function.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from rigclab import CommunityCatalog, percolate_enumerate
+from rigclab import CommunityCatalog, Pmf, percolate_enumerate
 from rigclab.errors import OutOfDomain
 from rigclab.explore import STEP2, STEP3
 
@@ -274,3 +276,30 @@ def zr_process(r_degrees, rng):
     wake = np.zeros(len(d) + 1)
     wake[1:] = np.cumsum(rng.exponential(size=len(d)) / remaining)
     return SizeBiasedWakePath(h=h, order=order, partial_sums=sums, wake_times=wake)
+
+
+# -- exact convolution powers of a weight map -----------------------------------
+
+
+def convolve_weights(a: Mapping[int, float], b: Mapping[int, float]) -> dict[int, float]:
+    """Convolution of two (sub-probability) weight maps."""
+    out: dict[int, float] = {}
+    for va, wa in a.items():
+        for vb, wb in b.items():
+            out[va + vb] = out.get(va + vb, 0.0) + wa * wb
+    return out
+
+
+def convolve_power(base: "Pmf | Mapping[int, float]", k: int) -> dict[int, float]:
+    """k-fold convolution of a weight map (sub-probability allowed).
+
+    k = 0 yields the empty-sum point mass {0: 1.0} regardless of the input
+    mass, matching (total mass)^0 = 1.
+    """
+    if k < 0:
+        raise OutOfDomain(f"convolution power must be >= 0, got {k}")
+    weights = base.as_dict() if isinstance(base, Pmf) else dict(base)
+    out = {0: 1.0}
+    for _ in range(k):
+        out = convolve_weights(out, weights)
+    return out

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -10,6 +11,7 @@ from rigclab import (
     CommunityCatalog,
     CommunityGraph,
     Pmf,
+    RigcGraph,
     TheoryInputs,
     bcm_components,
     build_params,
@@ -104,6 +106,27 @@ def test_labels_deep_chain_random_path():
     n = 100_000
     path = philox(41).permutation(n)
     check_labels(n, path[:-1], path[1:])
+
+
+@pytest.mark.parametrize("loops", [False, True], ids=["loop-free", "self-loops"])
+def test_labellers_leave_edge_arrays_unchanged(loops):
+    """Neither ``_labels`` nor ``rigc_components`` writes into the edge arrays
+    it is handed, whether the self-loop filter copies them (self-loops) or
+    hands them to the first round as they are (loop-free)."""
+    rng = philox(12)
+    n = 300
+    u = rng.integers(0, n, size=400)
+    v = (u + rng.integers(1, n, size=400)) % n
+    if loops:
+        v[::7] = u[::7]
+    assert bool(np.any(u == v)) == loops
+    for dtype in (np.int32, np.int64):
+        graph = RigcGraph(n, u.astype(dtype), v.astype(dtype))
+        u_before, v_before = graph.edge_u.copy(), graph.edge_v.copy()
+        labels = _labels(n, graph.edge_u, graph.edge_v)
+        np.testing.assert_array_equal(rigc_components(graph), labels)
+        np.testing.assert_array_equal(graph.edge_u, u_before)
+        np.testing.assert_array_equal(graph.edge_v, v_before)
 
 
 def test_triangle_instance(k3):
@@ -210,6 +233,8 @@ def joint_law_oracle(l_degrees, multiplicities, n):
 
     def find(x):
         while parent[x] != x:
+            # path halving: instances past one block of individuals stay fast
+            parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
@@ -246,6 +271,11 @@ JOINT_INSTANCES = {
     "hub": lambda: build_params([1000] + [1] * 2000, [complete_graph(3)] * 1000),
     # singleton communities only: no edges, so every d is 0
     "edgeless": lambda: build_params([1, 2, 1], [CommunityGraph(1, [])] * 4),
+    # more individuals than one block (_BLOCK_ROLES), counted in the dense table
+    "triangles-blocks": lambda: build_params([1, 2] * 36_000, [complete_graph(3)] * 36_000),
+    # more individuals than one block, one in 70,000 triangles: its block is
+    # counted by sorting, the others in dense tables
+    "hub-blocks": lambda: build_params([70_000] + [1] * 140_000, [complete_graph(3)] * 70_000),
 }
 
 
@@ -260,9 +290,37 @@ def test_joint_law_matches_oracle(name):
         assert any(m > 1 for m in mult.values()), "instance lost its multi-edges"
     if name == "edgeless":
         assert mult == {}
+    if name.endswith("-blocks"):
+        assert params.n_l > components._BLOCK_ROLES
     expected = joint_law_oracle(params.l_degrees.tolist(), mult, params.n_l)
     joint = joint_in_giant_from_bcm(bcm, params.communities, bcm_components(bcm))
     assert list(joint.items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("name", ["mixed", "hub", "edgeless"])
+def test_joint_law_in_small_blocks_matches_oracle(monkeypatch, name):
+    """Blocks of 7 individuals, each with its own code width, some with no
+    giant individual: their merged counts are the oracle's law, in key order."""
+    monkeypatch.setattr(components, "_BLOCK_ROLES", 7)
+    params = JOINT_INSTANCES[name]()
+    bcm = generate_bcm(params, philox(11, 0, 1))
+    mult = project_rigc(bcm, params.communities).multiplicities()
+    expected = joint_law_oracle(params.l_degrees.tolist(), mult, params.n_l)
+    joint = joint_in_giant_from_bcm(bcm, params.communities, bcm_components(bcm))
+    assert list(joint.items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("name", sorted(JOINT_INSTANCES))
+def test_joint_law_by_sorting_matches_chosen_branch(monkeypatch, name):
+    """With no dense table allowed, every instance is counted by sorting
+    block by block, and the law is the same, in the same key order."""
+    params = JOINT_INSTANCES[name]()
+    bcm = generate_bcm(params, philox(11, 0, 1))
+    labels = bcm_components(bcm)
+    chosen = joint_in_giant_from_bcm(bcm, params.communities, labels)
+    monkeypatch.setattr(components, "_DENSE_CODES_PER_VERTEX", 0)
+    by_sorting = joint_in_giant_from_bcm(bcm, params.communities, labels)
+    assert list(by_sorting.items()) == list(chosen.items())
 
 
 def test_bcm_degk_sums(p_estar, cat_estar):
@@ -645,7 +703,7 @@ def test_sampled_bcm_index_arrays_are_int32():
     p, catalog, target_n = SAMPLED_CASES["mixed-with-k1"]
     params = sample_params(p, catalog, target_n, philox(3, 0, 31))
     bcm = generate_bcm(params, philox(3, 0, 32))
-    for array in (bcm.matching, bcm.l_owner, bcm.holder, bcm_components(bcm)):
+    for array in (bcm.matching, bcm.r_offsets, bcm.l_owner, bcm.holder, bcm_components(bcm)):
         assert array.dtype == np.int32
     # a caller's int64 matching is held in the index dtype, values unchanged
     given = BcmGraph(params.l_degrees, params.r_degrees(), bcm.matching.astype(np.int64))
@@ -666,7 +724,8 @@ def test_int64_index_path_equals_int32_path(monkeypatch, case):
             monkeypatch.setattr(model, "INDEX32_LIMIT", limit)
             bcm = generate_bcm(params, philox(seed, 0, 32))
             labels = bcm_components(bcm)
-            assert bcm.matching.dtype == bcm.holder.dtype == labels.dtype == dtype
+            assert bcm.matching.dtype == bcm.r_offsets.dtype == dtype
+            assert bcm.holder.dtype == labels.dtype == dtype
             runs.append((
                 bcm.matching, labels,
                 dataclasses.asdict(giant_stats_rigc_from_bcm(bcm, params.communities, labels)),
@@ -677,3 +736,56 @@ def test_int64_index_path_equals_int32_path(monkeypatch, case):
         np.testing.assert_array_equal(l32, l64)
         assert rigc32 == rigc64
         assert bcm32 == bcm64
+
+
+# -- memory guards (tracemalloc, N = 2e5 triangles) ------------------------------
+
+#: Python objects (the BcmGraph, array headers) that generate_bcm keeps beside its arrays
+BCM_OBJECT_SLACK = 4096
+#: peak of bcm_components and giant's three readouts above what was held
+#: before, per byte of the matching: 6.76 while the labeller hooked h star
+#: edges and kept each round's arrays and the joint law took whole-population
+#: copies; 4.67 since
+COMPONENTS_PEAK_PER_MATCHING = 5.2
+
+
+def traced(fn):
+    """(result, bytes ``fn`` left allocated, its peak above what was held before)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, kept - base, peak - base
+
+
+@pytest.fixture(scope="module")
+def triangles_2e5(p_estar, cat_estar):
+    return sample_params(p_estar, cat_estar, 200_000, philox(8, 0, 30))
+
+
+def test_generate_bcm_keeps_only_its_arrays(triangles_2e5):
+    """The matching keeps its permutation, r-degrees and r-offsets, nothing
+    per l-position besides: ``l_owner`` is computed on demand."""
+    rng = philox(8, 0, 31)
+    bcm, kept, _ = traced(lambda: generate_bcm(triangles_2e5, rng))
+    arrays = bcm.matching.nbytes + bcm.r_degrees.nbytes + bcm.r_offsets.nbytes
+    assert arrays <= kept <= arrays + BCM_OBJECT_SLACK
+
+
+def test_components_pass_memory_guard(triangles_2e5):
+    """Labelling the matching and reading giant's three outputs off it peaks
+    below ``COMPONENTS_PEAK_PER_MATCHING`` times the matching's bytes."""
+    bcm = generate_bcm(triangles_2e5, philox(8, 0, 31))
+    communities = triangles_2e5.communities
+
+    def giant():
+        labels = bcm_components(bcm)
+        giant_stats_rigc_from_bcm(bcm, communities, labels)
+        giant_stats_bcm(bcm, labels)
+        joint_in_giant_from_bcm(bcm, communities, labels)
+
+    _, _, peak = traced(giant)
+    assert peak < COMPONENTS_PEAK_PER_MATCHING * bcm.matching.nbytes

@@ -151,12 +151,13 @@ def test_projection_mass_and_handshake(p_estar, cat_estar):
 def plain_projection(bcm, communities):
     """Edge multiplicities by a loop over every group and every edge."""
     inv = np.argsort(bcm.matching)  # l-position matched to each r-position
+    owner = bcm.l_owner  # computed on each access
     counts = Counter()
     for a, g in enumerate(communities):
         base = int(bcm.r_offsets[a])
         for u, v in g.edges:
-            x = int(bcm.l_owner[inv[base + u - 1]])
-            y = int(bcm.l_owner[inv[base + v - 1]])
+            x = int(owner[inv[base + u - 1]])
+            y = int(owner[inv[base + v - 1]])
             counts[(min(x, y), max(x, y))] += 1
     return dict(counts)
 

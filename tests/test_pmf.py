@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rigclab import Pmf, convolve_power, convolve_weights
+from rigclab import Pmf
 from rigclab.errors import (
     EmptySupport,
     NegativeWeight,
@@ -13,6 +13,7 @@ from rigclab.errors import (
     SupportContainsZero,
     ZeroMean,
 )
+from oracles import convolve_power, convolve_weights
 
 
 def random_pmf(rng, max_support=6, max_value=9):

@@ -14,7 +14,6 @@ from rigclab import (
     bcm_predictions,
     complete_graph,
     curve_table,
-    convolve_power,
     cycle_graph,
     edges_in_giant_from_joint,
     edges_in_giant_rigc,
@@ -26,7 +25,7 @@ from rigclab import (
 )
 from rigclab.errors import ExcludedRegime, NotSupercritical, OutOfDomain
 from conftest import bisect_eta, exact_pgf_inverse, philox
-from oracles import bp_survival_sim
+from oracles import bp_survival_sim, convolve_power
 
 
 def make_inputs(p_entries, catalog_items):
