@@ -447,6 +447,7 @@ def _job_percolate(exp: Experiment, replica: int) -> dict:
     params, rigc = _sample(exp, replica)
     percolated = perc_mod.percolate_rigc_graph(rigc, pi, stream(exp.seed, replica, ROLE_PERC))
     stats_a = giant_stats_rigc(percolated)
+    del rigc, percolated  # the communities route reads neither
 
     pieces = perc_mod.build_com_pi(params.communities, pi, stream(exp.seed, replica, ROLE_COM_PI))
     params_b = build_params(params.l_degrees, pieces)
@@ -465,8 +466,16 @@ def _job_percolate(exp: Experiment, replica: int) -> dict:
 
 
 def _job_sweep(exp: Experiment, replica: int) -> dict:
-    params, rigc = _sample(exp, replica)
-    sweep = perc_mod.harris_sweep(rigc, list(exp.pi_grid), stream(exp.seed, replica, ROLE_SWEEP))
+    params = exp.params_for(replica)
+    # the projection is handed over as a temporary, so the sweep frees it
+    # once its units are sorted
+    sweep = perc_mod.harris_sweep(
+        project_rigc(
+            generate_bcm(params, stream(exp.seed, replica, ROLE_MATCH)), params.communities
+        ),
+        list(exp.pi_grid),
+        stream(exp.seed, replica, ROLE_SWEEP),
+    )
     rows = [
         (pi, s.c1_fraction, s.c2_fraction, s.edges_in_giant_per_N, exp.seed, replica, params.n_l)
         for pi, s in zip(exp.pi_grid, sweep)

@@ -27,6 +27,9 @@ from .pmf import Pmf
 
 #: index arrays are int32 while every index they can hold stays below this
 INDEX32_LIMIT = 1 << 31
+#: ``_draw_until`` and ``project_rigc`` form their per-index temporaries over
+#: blocks of at most this many indices (a projection block: about this many units)
+_BLOCK = 1 << 14
 
 
 def index_dtype(count: int) -> type:
@@ -73,11 +76,12 @@ def build_params(
     raw = np.asarray(l_degrees)
     if not (raw.dtype.kind in "iu" or raw.dtype.kind == "f" and np.all(raw % 1 == 0)):
         raise OutOfDomain("membership counts must be integers")
+    # summed before the degrees are copied, so the two temporaries never meet
+    total_r = int(communities.sizes().sum())
     degs = raw.astype(np.int64)
     if degs.min() < 1:
         raise ZeroDegree("every membership count must be >= 1")
     total_l = int(degs.sum())
-    total_r = int(communities.sizes().sum())
     if total_l != total_r:
         raise HalfEdgeMismatch(
             f"membership half-edges ({total_l}) != community roles ({total_r})"
@@ -94,17 +98,32 @@ def _draw_until(
 ) -> tuple[np.ndarray, int]:
     """Indices drawn iid from ``probs``, in chunks sized from ``mean``, up to
     the first whose running sum of ``values`` reaches ``total``; returns the
-    indices and that sum."""
+    indices and that sum.
+
+    A chunk is drawn in blocks of at most ``_BLOCK``, which draw what
+    the whole chunk would: ``rng.choice`` takes one uniform per index.  Once
+    the sum is reached, the chunk's remaining uniforms are drawn and
+    dropped, so the draws that follow on ``rng`` do not move.  The blocks
+    are written into one array per chunk, allocated before the first draw,
+    so a chunk too large for memory fails at once."""
     chosen: list[np.ndarray] = []
     s = 0
     while s < total:
         chunk = max(64, int((total - s) / mean * 1.05) + 1)
-        idx = rng.choice(len(probs), size=chunk, p=probs)
-        csum = s + np.cumsum(values[idx])
-        take = min(int(np.searchsorted(csum, total)) + 1, len(idx))
-        chosen.append(idx[:take])
-        s = int(csum[take - 1])
-    return np.concatenate(chosen), s
+        idx = np.empty(chunk, dtype=np.int64)
+        for first in range(0, chunk, _BLOCK):
+            size = min(_BLOCK, chunk - first)
+            if s >= total:
+                rng.random(size)
+                continue
+            block = rng.choice(len(probs), size=size, p=probs)
+            csum = s + np.cumsum(values[block])
+            take = min(int(np.searchsorted(csum, total)) + 1, size)
+            idx[first : first + take] = block[:take]
+            s = int(csum[take - 1])
+            end = first + take
+        chosen.append(idx[:end])
+    return (chosen[0] if len(chosen) == 1 else np.concatenate(chosen)), s
 
 
 def sample_params(
@@ -134,10 +153,14 @@ def sample_params(
 
     values = np.array(l_pmf.values, dtype=np.int64)
     idx, s = _draw_until(h, values, np.array(l_pmf.weights), l_pmf.mean(), rng)
+    # each draw is dropped once read: CommunityList and build_params copy
+    communities = CommunityList(shapes, type_index)
+    del type_index
     degs = values[idx]
+    del idx
     degs[-1] -= s - h
 
-    return build_params(degs, CommunityList(shapes, type_index))
+    return build_params(degs, communities)
 
 
 def empirical_l_pmf(params: ModelParams) -> Pmf:
@@ -308,10 +331,19 @@ def project_rigc(bcm: BcmGraph, communities: Sequence[CommunityGraph]) -> RigcGr
     communities = CommunityList.of(communities)
     check_communities(bcm, communities)
     holder = bcm.holder
-    ends_u, ends_v = [holder[:0]], [holder[:0]]
-    for t, members in communities.groups_by_shape():
+    groups = communities.groups_by_shape()
+    units = sum(len(members) * communities.shapes[t].edge_count for t, members in groups)
+    ends_u = np.empty(units, dtype=holder.dtype)
+    ends_v = np.empty(units, dtype=holder.dtype)
+    start = 0
+    for t, members in groups:
         local = np.array(communities.shapes[t].edges, dtype=np.int64).reshape(-1, 2) - 1
-        bases = bcm.r_offsets[members]
-        ends_u.append(holder[(bases[:, None] + local[None, :, 0]).ravel()])
-        ends_v.append(holder[(bases[:, None] + local[None, :, 1]).ravel()])
-    return RigcGraph(bcm.n_l, np.concatenate(ends_u), np.concatenate(ends_v))
+        # the shape's groups in blocks of about _BLOCK units, each written in place
+        step = max(1, _BLOCK // max(len(local), 1))
+        for first in range(0, len(members), step):
+            bases = bcm.r_offsets[members[first : first + step]]
+            stop = start + len(bases) * len(local)
+            ends_u[start:stop] = holder[(bases[:, None] + local[None, :, 0]).ravel()]
+            ends_v[start:stop] = holder[(bases[:, None] + local[None, :, 1]).ravel()]
+            start = stop
+    return RigcGraph(bcm.n_l, ends_u, ends_v)

@@ -25,7 +25,7 @@ from .community import (
 )
 from .components import GiantStats, _giant_stats, _labels, _largest_label
 from .errors import NotSupercritical, OutOfDomain
-from .model import RigcGraph
+from .model import RigcGraph, index_dtype
 from .pmf import Pmf
 from .theory import GiantPrediction, TheoryInputs, check_regime, giant_prediction
 
@@ -168,6 +168,21 @@ def critical_pi(p: Pmf, catalog: CommunityCatalog, tol: float = 1e-6) -> float:
 # -- coupled sweeps ---------------------------------------------------------------
 
 
+def _counts_at_most(values: np.ndarray, order: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Per point, how many of ``values`` are <= it: a bisection over
+    ``values[order]`` (ascending), all points at once, that never forms
+    that sorted copy.  Each round tries to extend every count by ``step``."""
+    counts = np.zeros(len(points), dtype=np.intp)
+    step = 1 << len(values).bit_length()
+    while step:
+        probe = counts + step
+        fits = probe <= len(values)
+        fits[fits] = values[order[probe[fits] - 1]] <= points[fits]
+        counts[fits] = probe[fits]
+        step >>= 1
+    return counts
+
+
 def harris_sweep(
     graph: RigcGraph, pi_grid: Sequence[float], rng: np.random.Generator
 ) -> list[GiantStats]:
@@ -187,6 +202,12 @@ def harris_sweep(
     lowest old component, so components stay numbered by their lowest vertex
     from point to point: the giant is the first largest component, and ties
     go to the lowest vertex id as in ``giant_stats_rigc``.
+
+    The sorted units and the labels, in the index dtype, are all that the
+    points read: each point's end is bisected over the sort order, then the
+    variates and the order are freed.  So is ``graph``, when the caller
+    hands it over as a temporary (``harris_sweep(project_rigc(...), ...)``);
+    a caller's own reference keeps it, unchanged.
     """
     grid = list(pi_grid)
     if any(not 0.0 <= x <= 1.0 for x in grid):
@@ -196,13 +217,16 @@ def harris_sweep(
     n = graph.n_vertices
     coupling = rng.random(len(graph.edge_u))
     order = np.argsort(coupling)  # not stable: a point keeps a set, whatever the order
-    ends = np.searchsorted(coupling[order], grid, side="right").tolist()
+    ends = _counts_at_most(coupling, order, np.asarray(grid, dtype=float)).tolist()
+    del coupling
     units_u = graph.edge_u[order]
     units_v = graph.edge_v[order]
+    # CPython 3.11+ leaves a temporary argument only this frame's reference
+    del order, graph
 
     # per vertex its component; per component its size and kept units (floats
     # hold these counts exactly, as np.bincount's weights need)
-    label = np.arange(n)
+    label = np.arange(n, dtype=index_dtype(n))
     sizes = np.ones(n)
     kept = np.zeros(n)
     out = []

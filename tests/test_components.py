@@ -789,3 +789,54 @@ def test_components_pass_memory_guard(triangles_2e5):
 
     _, _, peak = traced(giant)
     assert peak < COMPONENTS_PEAK_PER_MATCHING * bcm.matching.nbytes
+
+
+# -- memory guards (tracemalloc, N = 2e5, seven shapes) ----------------------------
+
+MIXED_P = Pmf({1: 0.35, 2: 0.3, 3: 0.2, 5: 0.1, 8: 0.05})
+MIXED_CATALOG = CommunityCatalog(
+    [(complete_graph(2), 0.3), (complete_graph(3), 0.2), (path_graph(4), 0.15),
+     (cycle_graph(4), 0.1), (complete_graph(4), 0.1), (complete_graph(5), 0.1),
+     (cycle_graph(8), 0.05)]
+)
+#: peak of project_rigc above what was held before, per byte of its two end
+#: arrays (the holder it caches included): 2.75 while each shape's ends were
+#: gathered through an index per unit and then concatenated; 1.80 since
+PROJECTION_PEAK_PER_UNITS = 2.2
+#: peak of harris_sweep handed its projection as a temporary, above what was
+#: held before (that projection included), per byte of the projection's two
+#: end arrays: 6.18 while the sweep kept the variates, a sorted copy of them,
+#: their order, the projection and int64 labels to the end; 2.25 since
+SWEEP_PEAK_PER_UNITS = 3.0
+
+
+@pytest.fixture(scope="module")
+def mixed_2e5():
+    return sample_params(MIXED_P, MIXED_CATALOG, 200_000, philox(9, 0, 30))
+
+
+def test_projection_memory_guard(mixed_2e5):
+    """The projection fills its two end arrays in place, a block of groups at
+    a time: it never holds the units twice, nor an index per unit."""
+    bcm = generate_bcm(mixed_2e5, philox(9, 0, 31))
+    rigc, _, peak = traced(lambda: project_rigc(bcm, mixed_2e5.communities))
+    assert peak < PROJECTION_PEAK_PER_UNITS * (rigc.edge_u.nbytes + rigc.edge_v.nbytes)
+
+
+def test_sweep_memory_guard(mixed_2e5):
+    """A sweep handed its projection as a temporary keeps only the sorted
+    units and the labels: the variates, their order and the projection go."""
+    grid = [round(0.05 * i, 10) for i in range(1, 21)]
+    # traced from before the projection, so that freeing it counts
+    tracemalloc.start()
+    try:
+        handed = [project_rigc(generate_bcm(mixed_2e5, philox(9, 0, 31)), mixed_2e5.communities)]
+        units = handed[0].edge_u.nbytes + handed[0].edge_v.nbytes
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        # pop() leaves the call the projection's only reference
+        harris_sweep(handed.pop(), grid, philox(9, 0, 32))
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak < SWEEP_PEAK_PER_UNITS * units

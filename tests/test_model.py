@@ -28,6 +28,7 @@ from rigclab.errors import (
     OutOfRange,
     ZeroDegree,
 )
+from rigclab import model
 from rigclab.model import RigcGraph, _aggregate_edges
 from conftest import philox
 
@@ -75,6 +76,43 @@ def test_sample_params_degree_law(p_estar, cat_estar):
         abs(emp.prob(k) - p_estar.prob(k)) for k in set(emp.values) | set(p_estar.values)
     )
     assert tv < 0.02
+
+
+def draw_until_whole_chunks(total, values, probs, mean, rng):
+    """Reference for ``model._draw_until``: each chunk in one ``rng.choice``."""
+    chosen, s = [], 0
+    while s < total:
+        chunk = max(64, int((total - s) / mean * 1.05) + 1)
+        idx = rng.choice(len(probs), size=chunk, p=probs)
+        csum = s + np.cumsum(values[idx])
+        take = min(int(np.searchsorted(csum, total)) + 1, len(idx))
+        chosen.append(idx[:take])
+        s = int(csum[take - 1])
+    return np.concatenate(chosen), s
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 1 << 14])
+def test_draw_until_in_blocks_draws_whole_chunks(monkeypatch, block):
+    """Drawn in blocks, a chunk yields the same indices and sum, and leaves
+    the generator where the whole chunk leaves it, also when the total is
+    reached before its last block."""
+    monkeypatch.setattr(model, "_BLOCK", block)
+    heavy = np.arange(1, 500, dtype=np.int64)
+    cases = [
+        (np.array([1, 3], dtype=np.int64), np.array([0.5, 0.5])),
+        (heavy, heavy ** -2.5 / (heavy ** -2.5).sum()),
+        (np.array([1, 2, 3, 5, 8], dtype=np.int64), np.array([0.35, 0.3, 0.2, 0.1, 0.05])),
+    ]
+    for values, probs in cases:
+        mean = float(values @ probs)
+        for total in (1, 2, 63, 64, 65, 500, 3_001):
+            for seed in range(3):
+                want_rng, got_rng = philox(53, seed), philox(53, seed)
+                want = draw_until_whole_chunks(total, values, probs, mean, want_rng)
+                got = model._draw_until(total, values, probs, mean, got_rng)
+                np.testing.assert_array_equal(got[0], want[0])
+                assert got[1] == want[1]
+                assert got_rng.random(4).tolist() == want_rng.random(4).tolist()
 
 
 def test_empirical_catalog(p_estar, k3):
@@ -185,6 +223,38 @@ def test_projection_matches_plain_loop(k1, k2, k3):
         expected = plain_projection(bcm, communities)
         assert project_rigc(bcm, communities).multiplicities() == expected
         assert project_rigc(bcm, params.communities).multiplicities() == expected
+
+
+def plain_units(bcm, communities):
+    """The projection's (u, v) units by a loop in the documented gather
+    order: shapes in order of first appearance, each shape's groups in
+    ascending order, each group's edges in shape order."""
+    holder = bcm.holder.tolist()
+    firsts = {}
+    for a, g in enumerate(communities):
+        firsts.setdefault(g, []).append(a)
+    return [
+        (holder[int(bcm.r_offsets[a]) + u - 1], holder[int(bcm.r_offsets[a]) + v - 1])
+        for g, groups in firsts.items()
+        for a in groups
+        for u, v in g.edges
+    ]
+
+
+@pytest.mark.parametrize("block", [1, 2, 5, 1 << 14])
+def test_projection_units_in_gather_order(monkeypatch, k1, k2, k3, block):
+    """Unit order, not only multiplicities, with each shape's groups written
+    in blocks of every size (one group, a few, all of them)."""
+    monkeypatch.setattr(model, "_BLOCK", block)
+    catalog = CommunityCatalog(
+        [(k1, 0.2), (k2, 0.2), (k3, 0.2), (path_graph(4), 0.2), (cycle_graph(5), 0.2)]
+    )
+    for seed in range(3):
+        params = sample_params(Pmf({1: 0.4, 2: 0.4, 4: 0.2}), catalog, 300, philox(seed, 2))
+        bcm = generate_bcm(params, philox(seed, 2, 1))
+        rigc = project_rigc(bcm, params.communities)
+        got = list(zip(rigc.edge_u.tolist(), rigc.edge_v.tolist()))
+        assert got == plain_units(bcm, params.communities)
 
 
 def test_build_params_rejects_fractional_degrees(k2):

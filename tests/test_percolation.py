@@ -513,6 +513,66 @@ def test_harris_sweep_subgrid_of_fine_grid(p_estar, cat_estar):
     assert [full[i] for i in picks] == swept(rigc, [fine[i] for i in picks], philox(48, 0, 2))
 
 
+class Variates:
+    """A generator stand-in whose ``random(n)`` returns the chosen variates."""
+
+    def __init__(self, values):
+        self.values = np.array(values, dtype=float)
+
+    def random(self, n):
+        assert n == len(self.values)
+        return self.values.copy()
+
+
+def test_harris_sweep_grid_ends_on_chosen_variates():
+    """Each point's end is bisected over the sorted units: variates on grid
+    points (kept there), ties among variates, repeated points, pi = 0 and
+    pi = 1, and no units at all."""
+    g = rigc_of(7, [(0, 1, 1), (1, 2, 1), (2, 2, 1), (3, 4, 2), (4, 5, 1), (5, 6, 1), (0, 6, 1)])
+    variates = [0.0, 0.25, 0.25, 0.5, 0.75, 1.0, 0.5, 0.9]
+    grids = [
+        [0, 0, 0.25, 0.25, 0.3, 0.5, 0.75, 0.9, 1, 1],
+        [0.25],
+        [0.2499999, 0.5000001, 0.9999999],
+        [0.0, 1.0],
+    ]
+    for grid in grids:
+        assert swept(g, grid, Variates(variates)) == sweep_oracle(g, grid, Variates(variates))
+    # many units on few distinct variates, at every size around a power of two
+    rng = philox(51)
+    levels = np.linspace(0.0, 1.0, 11)
+    grid = sorted(levels.tolist() + [0.05, 0.5, 0.5, 0.95])
+    for m in (1, 2, 3, 15, 16, 17, 64, 200):
+        pairs = rng.integers(0, 40, size=(m, 2))
+        h = RigcGraph(40, pairs[:, 0], pairs[:, 1])
+        on_levels = rng.choice(levels, size=m)
+        assert swept(h, grid, Variates(on_levels)) == sweep_oracle(h, grid, Variates(on_levels))
+    edgeless = rigc_of(5, [])
+    for grid in ([0, 0, 0.5, 1, 1], [1]):
+        got = swept(edgeless, grid, Variates([]))
+        assert got == sweep_oracle(edgeless, grid, Variates([])) == [(0.2, 0.2, 0.0)] * len(grid)
+
+
+def test_harris_sweep_leaves_a_held_projection_unchanged(p_estar, cat_estar):
+    """A caller holding its own reference keeps the projection as it was, and
+    gets what a caller handing it over as a temporary gets."""
+    params = sample_params(p_estar, cat_estar, 2_000, philox(52))
+    grid = np.linspace(0.0, 1.0, 21).tolist()
+    held = project_rigc(generate_bcm(params, philox(52, 0, 1)), params.communities)
+    u, v = held.edge_u.copy(), held.edge_v.copy()
+    from_held = harris_sweep(held, grid, philox(52, 0, 2))
+    handed = harris_sweep(
+        project_rigc(generate_bcm(params, philox(52, 0, 1)), params.communities),
+        grid,
+        philox(52, 0, 2),
+    )
+    assert from_held == handed
+    assert from_held == harris_sweep(held, grid, philox(52, 0, 2))
+    np.testing.assert_array_equal(held.edge_u, u)
+    np.testing.assert_array_equal(held.edge_v, v)
+    assert held.edge_u.dtype == u.dtype and held.edge_v.dtype == v.dtype
+
+
 def test_percolate_graph_equals_sweep_point(p_estar, cat_estar):
     """The graph route and a one-point sweep draw one variate per unit from
     the same stream and keep the same units, so their giants agree exactly."""
