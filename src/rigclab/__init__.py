@@ -14,8 +14,6 @@ from .community import (
     CommunityList,
     ComponentSizeCensus,
     PercolationProfile,
-    canonical_form,
-    canonical_key,
     complete_graph,
     cycle_graph,
     path_graph,

@@ -1,14 +1,15 @@
 """Community graphs, frequency catalogs, and exact one-community percolation.
 
 A community is a simple, finite, connected, labeled graph.  Catalogs carry a
-frequency weight per isomorphism class and induce the size law and the
+frequency weight per labeled shape and induce the size law and the
 vertex-weighted within-community degree law that the closed-form predictions
-consume.
+consume.  Both are weighted sums over the items, so isomorphic shapes need
+not be merged and nothing here tests graphs for isomorphism.
 
 Percolation on one community is exact in two ways.  ``percolate_enumerate``
-walks all 2^|E| edge subsets and names each component's shape; the suite's
-limiting percolated catalog is built on it.  ``size_census`` counts, per
-vertex subset, the edge subsets that make it a component; it serves the
+walks all 2^|E| edge subsets and names each component's labeled shape; the
+suite's limiting percolated catalog is built on it.  ``size_census`` counts,
+per vertex subset, the edge subsets that make it a component; it serves the
 expected component counts per size, from which the percolated size law, and
 with it the percolated giant and the critical retention probability, follow.
 """
@@ -26,14 +27,11 @@ from .errors import (
     NegativeWeight,
     NotNormalized,
     OutOfDomain,
-    TooLargeForExactIsomorphism,
     TooManyEdges,
     TooManyVertices,
 )
 from .pmf import WEIGHT_SUM_TOL, Pmf
 
-#: exact isomorphism by permutation minimization is capped at this many vertices
-EXACT_ISO_MAX_VERTICES = 8
 #: exhaustive percolation enumerates 2^|E| edge subsets up to this |E|
 ENUM_MAX_EDGES = 22
 #: the component-size census visits about 3^n / 2 vertex-set pairs: K12 took
@@ -210,95 +208,34 @@ class CommunityList(Sequence):
         return f"CommunityList({len(self)} groups, {len(self.shapes)} shapes)"
 
 
-# -- canonical keys -----------------------------------------------------------
-
-_canonical_cache: dict[tuple[int, tuple], tuple] = {}
-
-
-def canonical_key(graph: CommunityGraph):
-    """Opaque key equal across graphs iff they are isomorphic.
-
-    Brute force: minimize the relabeled edge tuple over all n! vertex
-    permutations.  Exact mode is capped at n = 8.
-    """
-    if graph.n > EXACT_ISO_MAX_VERTICES:
-        raise TooLargeForExactIsomorphism(
-            f"exact isomorphism capped at n={EXACT_ISO_MAX_VERTICES}, got n={graph.n}"
-        )
-    cache_key = (graph.n, graph.edges)
-    hit = _canonical_cache.get(cache_key)
-    if hit is not None:
-        return hit
-    best = None
-    for perm in itertools.permutations(range(1, graph.n + 1)):
-        mapped = tuple(
-            sorted(
-                (perm[u - 1], perm[v - 1]) if perm[u - 1] < perm[v - 1] else (perm[v - 1], perm[u - 1])
-                for u, v in graph.edges
-            )
-        )
-        if best is None or mapped < best:
-            best = mapped
-    key = (graph.n, best)
-    _canonical_cache[cache_key] = key
-    return key
-
-
-def canonical_form(graph: CommunityGraph) -> CommunityGraph:
-    """Canonical representative of the isomorphism class."""
-    n, edges = canonical_key(graph)
-    return CommunityGraph(n, edges)
-
-
-def catalog_key(graph: CommunityGraph):
-    """Key used to group graphs in catalogs.
-
-    Exact (canonical) below the isomorphism cap; above it, the coarser
-    (n, sorted degree sequence, |E|) key, which can conflate rare
-    non-isomorphic shapes of equal census (documented collision caveat).
-    """
-    if graph.n <= EXACT_ISO_MAX_VERTICES:
-        return canonical_key(graph)
-    return ("census", graph.n, tuple(sorted(graph.degrees())), graph.edge_count)
-
-
 # -- catalogs ------------------------------------------------------------------
 
 class CommunityCatalog:
     """Frequency-weighted collection of community graphs.
 
-    One item per isomorphism class (grouped by ``catalog_key``); weights are
-    strictly positive and sum to 1 within tolerance.  Isomorphic graphs share
-    their vertex count, edge count and sorted degree sequence, so only items
-    that tie on those are compared by ``catalog_key``.
+    One item per labeled shape ``(n, edges)``; weights are strictly positive
+    and sum to 1 within tolerance.  A shape listed twice carries the sum of
+    its weights.  Every law the catalog induces is a weighted sum over its
+    items, so isomorphic items of weights a and b give the laws of one item
+    of weight a + b, and no item is compared up to isomorphism.
     """
 
     __slots__ = ("items",)
 
     def __init__(self, items: Iterable[tuple[CommunityGraph, float]]):
-        kept: list = []
-        by_invariant: dict[tuple, list[CommunityGraph]] = {}
+        kept: dict[CommunityGraph, float] = {}
         for graph, weight in items:
             w = float(weight)
             if not w >= 0.0:  # NaN included
                 raise NegativeWeight(f"catalog weight {w} is not >= 0")
-            if w == 0.0:
-                continue
-            ties = by_invariant.setdefault(
-                (graph.n, graph.edge_count, tuple(sorted(graph.degrees()))), []
-            )
-            if ties:
-                key = catalog_key(graph)
-                if any(catalog_key(g) == key for g in ties):
-                    raise NotNormalized(f"two catalog items share the canonical key {key}")
-            ties.append(graph)
-            kept.append((graph, w))
+            if w > 0.0:
+                kept[graph] = kept.get(graph, 0.0) + w
         if not kept:
             raise EmptySupport("catalog needs at least one weighted community")
-        total = sum(w for _, w in kept)
+        total = sum(kept.values())
         if abs(total - 1.0) > WEIGHT_SUM_TOL * 10:
             raise NotNormalized(f"catalog weights sum to {total!r}, not 1")
-        self.items = tuple((g, w / total) for g, w in kept)
+        self.items = tuple((g, w / total) for g, w in kept.items())
 
     def size_pmf(self) -> Pmf:
         """Community-size law q (one draw = one community, uniformly)."""
@@ -329,9 +266,7 @@ class CommunityCatalog:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CommunityCatalog):
             return NotImplemented
-        return {catalog_key(g): w for g, w in self.items} == {
-            catalog_key(g): w for g, w in other.items
-        }
+        return dict(self.items) == dict(other.items)
 
 
 # -- percolation on one community ----------------------------------------------
@@ -341,7 +276,9 @@ class PercolationProfile:
     """Exact law of bond percolation on one community graph.
 
     ``outcomes`` maps the sorted tuple of component keys to its probability;
-    ``components_by_key`` carries a canonical representative per key.
+    a component's key is its labeled shape ``(n, edges)`` as
+    ``split_components`` renumbers it, so isomorphic pieces may carry
+    different keys.  ``components_by_key`` maps each key to its graph.
     """
 
     pi: float
@@ -377,7 +314,8 @@ def split_components(n: int, edges: Sequence[tuple[int, int]]) -> list[Community
     """Connected components as fresh community graphs.
 
     Component vertices are renumbered 1..m preserving the original label
-    order, so the output is deterministic for canonicalization.
+    order, so a vertex set and its kept edges always give the same labeled
+    shape.
     """
     out = []
     for members in component_members(n, edges):
@@ -391,9 +329,9 @@ class _SubsetCensus:
     """One-pass enumeration of all 2^|E| edge subsets of a community graph.
 
     Per kept-edge count k it accumulates, for each distinct outcome (multiset
-    of component keys), the number of subsets producing it.  Evaluating the
-    profile at any retention probability is then a contraction with the
-    weights pi^k (1 - pi)^(|E| - k).
+    of the components' labeled shapes), the number of subsets producing it.
+    Evaluating the profile at any retention probability is then a contraction
+    with the weights pi^k (1 - pi)^(|E| - k).
     """
 
     __slots__ = ("m", "outcome_counts", "components_by_key")
@@ -412,12 +350,9 @@ class _SubsetCensus:
             k = len(kept)
             keys = []
             for comp in split_components(n, kept):
-                ck = catalog_key(comp)
-                keys.append(ck)
-                if ck not in self.components_by_key:
-                    self.components_by_key[ck] = (
-                        canonical_form(comp) if comp.n <= EXACT_ISO_MAX_VERTICES else comp
-                    )
+                key = (comp.n, comp.edges)
+                keys.append(key)
+                self.components_by_key.setdefault(key, comp)
             outcome = tuple(sorted(keys))
             counts = self.outcome_counts.get(outcome)
             if counts is None:

@@ -37,10 +37,6 @@ class OutOfRange(LabError):
 
 # -- community ----------------------------------------------------------------
 
-class TooLargeForExactIsomorphism(LabError):
-    pass
-
-
 class TooManyEdges(LabError):
     pass
 

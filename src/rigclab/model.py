@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .community import CommunityCatalog, CommunityGraph, CommunityList, catalog_key
+from .community import CommunityCatalog, CommunityGraph, CommunityList
 from .errors import (
     EmptySupport,
     HalfEdgeMismatch,
@@ -168,18 +168,14 @@ def empirical_l_pmf(params: ModelParams) -> Pmf:
 
 
 def empirical_catalog(params: ModelParams) -> CommunityCatalog:
-    """Frequency of each isomorphism class among the groups, classes in order
-    of first appearance, each represented by its first labeled shape."""
+    """Frequency of each labeled shape among the groups, shapes in order of
+    first appearance."""
     communities = params.communities
-    counts: dict = {}
-    rep: dict = {}
-    for t, members in communities.groups_by_shape():
-        g = communities.shapes[t]
-        key = catalog_key(g)
-        counts[key] = counts.get(key, 0) + len(members)
-        rep.setdefault(key, g)
     total = len(communities)
-    return CommunityCatalog((rep[k], c / total) for k, c in counts.items())
+    return CommunityCatalog(
+        (communities.shapes[t], len(members) / total)
+        for t, members in communities.groups_by_shape()
+    )
 
 
 # -- the bipartite matching ------------------------------------------------------
@@ -287,8 +283,9 @@ class RigcGraph:
         u, v = np.asarray(self.edge_u), np.asarray(self.edge_v)
         if u.dtype.kind not in "iu" or v.dtype.kind not in "iu" or len(u) != len(v):
             raise OutOfDomain("edge ends must be two integer arrays of equal length")
-        if u.dtype != v.dtype:
-            # uint64 and int64 ends would meet in float, which cannot index
+        if u.dtype != v.dtype or np.iinfo(u.dtype).max < n - 1:
+            # uint64 and int64 ends would meet in float, which cannot index,
+            # and the component labels, formed in the ends' dtype, reach n - 1
             u, v = u.astype(np.int64), v.astype(np.int64)
         for ends in (u, v):
             if len(ends) and (ends.min() < 0 or ends.max() >= self.n_vertices):

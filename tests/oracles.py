@@ -1,7 +1,8 @@
 """Reference implementations the suite checks rigclab against.
 
 These are proof devices of the paper, not its predictions: a branching-process
-survival simulation, the exact limiting percolated catalog, the two routes to
+survival simulation, a brute-force isomorphism key, the exact limiting
+percolated catalog, the two routes to
 the size-biased percolated community size, the death-process and
 size-biased wake couplings of the exploration, and the sparse convolution
 powers that check the theory's dense ones.  No CLI mode needs them, so
@@ -10,6 +11,8 @@ using it check; they read only the inputs and outputs of that function.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -72,12 +75,35 @@ def bp_survival_sim(inputs, side, replicas, generation_cap, size_cap, rng):
     return frac, stderr
 
 
+# -- isomorphism classes ------------------------------------------------------------
+
+
+@functools.cache
+def canonical_key(graph):
+    """Key equal across two community graphs iff they are isomorphic: the
+    least relabeled edge tuple over all n! vertex permutations."""
+    return graph.n, min(
+        tuple(sorted(tuple(sorted((perm[u - 1], perm[v - 1]))) for u, v in graph.edges))
+        for perm in itertools.permutations(range(1, graph.n + 1))
+    )
+
+
+def outcome_classes(profile):
+    """A percolation profile's outcome law with each outcome's pieces read up
+    to isomorphism: sorted tuple of their ``canonical_key`` -> probability."""
+    law: dict = {}
+    for outcome, prob in profile.outcomes:
+        key = tuple(sorted(canonical_key(profile.components_by_key[k]) for k in outcome))
+        law[key] = law.get(key, 0.0) + prob
+    return law
+
+
 # -- percolated communities --------------------------------------------------------
 
 
 def mu_pi_limit(catalog, pi):
-    """Exact limiting frequency of every percolated component shape, by
-    enumerating every edge subset of every shape.
+    """Exact limiting frequency of every labeled percolated component shape,
+    by enumerating every edge subset of every shape.
 
     Component frequencies are per *new* community: each original community
     contributes kappa(H | outcome) copies of shape H, and the normalizer is

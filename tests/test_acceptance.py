@@ -19,7 +19,7 @@ from scipy.stats import chisquare
 import rigclab as rl
 from rigclab.errors import ExcludedRegime
 from conftest import bisect_eta, philox
-from oracles import bp_survival_sim, giant_exploration_window
+from oracles import bp_survival_sim, canonical_key, giant_exploration_window
 
 N_BIG = 200_000
 N_MID = 100_000
@@ -198,13 +198,13 @@ def test_criterion_06_percolation_representation(estar):
     gap = abs(a.mean() - b.mean())
 
     pieces = rl.build_com_pi([rl.complete_graph(3)] * N_MID, pi, philox(106, 99, 6))
-    freq = Counter(rl.canonical_key(g) for g in pieces)
+    freq = Counter(canonical_key(g) for g in pieces)
     total = len(pieces)
     expected = {
-        rl.canonical_key(rl.complete_graph(3)): 0.0769,
-        rl.canonical_key(rl.path_graph(3)): 0.2308,
-        rl.canonical_key(rl.complete_graph(2)): 0.2308,
-        rl.canonical_key(rl.CommunityGraph(1, [])): 0.4615,
+        canonical_key(rl.complete_graph(3)): 0.0769,
+        canonical_key(rl.path_graph(3)): 0.2308,
+        canonical_key(rl.complete_graph(2)): 0.2308,
+        canonical_key(rl.CommunityGraph(1, [])): 0.4615,
     }
     freq_dev = max(abs(freq[k] / total - v) for k, v in expected.items())
     ok = gap < 3 * se and freq_dev < 0.01

@@ -5,25 +5,25 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import gilbert_component_counts, relabel
+from conftest import gilbert_component_counts, philox, relabel
+from oracles import canonical_key, outcome_classes
 from rigclab import (
     CommunityCatalog,
     CommunityGraph,
     CommunityList,
     Pmf,
-    canonical_key,
     complete_graph,
+    critical_pi_bracket,
     cycle_graph,
     path_graph,
     percolate_enumerate,
+    sample_params,
     size_census,
     split_components,
 )
 from rigclab.errors import (
     NegativeWeight,
-    NotNormalized,
     OutOfDomain,
-    TooLargeForExactIsomorphism,
     TooManyEdges,
     TooManyVertices,
 )
@@ -79,11 +79,6 @@ def test_canonical_key_relabeling_invariance():
         assert canonical_key(g) == canonical_key(relabel(g, perm.tolist()))
 
 
-def test_canonical_key_cap():
-    with pytest.raises(TooLargeForExactIsomorphism):
-        canonical_key(path_graph(9))
-
-
 def test_degree_census():
     assert complete_graph(3).degree_census() == {2: 3}
     assert path_graph(3).degree_census() == {1: 2, 2: 1}
@@ -119,18 +114,85 @@ def test_catalog_refuses_nan_weight(k2, k3):
         CommunityCatalog([(k3, 1.0), (k2, math.nan)])
 
 
-def test_catalog_rejects_duplicate_classes(k3):
-    relabeled = CommunityGraph(3, [(2, 1), (3, 2), (1, 3)])
-    with pytest.raises(NotNormalized):
-        CommunityCatalog([(k3, 0.5), (relabeled, 0.5)])
+def test_catalog_sums_the_laws_of_one_shape_under_two_labelings(p3):
+    star = CommunityGraph(3, [(1, 2), (1, 3)])  # P3 centred on vertex 1
+    assert canonical_key(star) == canonical_key(p3) and star != p3
+    one = CommunityCatalog([(p3, 1.0)])
+    two = CommunityCatalog([(p3, 0.5), (star, 0.5)])
+    assert two.items == ((p3, 0.5), (star, 0.5))
+    # one labeled shape listed twice carries the sum of its weights
+    assert CommunityCatalog([(p3, 0.25), (star, 0.5), (p3, 0.25)]).items == two.items
+    p = Pmf({1: 0.5, 3: 0.5})
+    pairs = [(one.size_pmf(), two.size_pmf()), (one.cdeg_pmf(), two.cdeg_pmf())] + [
+        (_percolated_inputs(p, one, pi).q, _percolated_inputs(p, two, pi).q)
+        for pi in (0.2, 0.5, 0.8)
+    ]
+    for law_one, law_two in pairs:
+        assert law_two.values == law_one.values
+        assert law_two.weights == pytest.approx(law_one.weights, abs=1e-15)
+    params = sample_params(p, two, 1000, philox(61))
+    assert set(params.communities) == {p3, star}
 
 
-def test_catalog_rejects_relabeled_c8():
-    c8 = cycle_graph(8)
-    relabeled = relabel(c8, [3, 7, 1, 8, 2, 6, 4, 5])
-    assert relabeled.edges != c8.edges
-    with pytest.raises(NotNormalized, match="share the canonical key"):
-        CommunityCatalog([(c8, 0.5), (relabeled, 0.5)])
+def spider(legs):
+    """A tree of paths with the given numbers of edges, joined at vertex 1."""
+    edges, top = [], 1
+    for length in legs:
+        end = 1
+        for _ in range(length):
+            top += 1
+            edges.append((end, top))
+            end = top
+    return CommunityGraph(top, edges)
+
+
+def test_catalog_keeps_spiders_of_one_degree_sequence():
+    # legs (1, 1, 6) and (2, 2, 4): nine vertices, eight edges and one degree
+    # sequence, but they split differently under percolation, so they are
+    # not isomorphic; the percolated size law and the threshold of their
+    # catalog are read off brute-force component counts
+    a, b = spider((1, 1, 6)), spider((2, 2, 4))
+    assert sorted(a.degrees()) == sorted(b.degrees())
+    assert a.edge_count == b.edge_count == 8
+    cat = CommunityCatalog([(a, 0.5), (b, 0.5)])
+    assert cat.items == ((a, 0.5), (b, 0.5))
+    tallies = [np.array(brute_force_component_counts(9, list(g.edges))) for g in (a, b)]
+
+    def counts(tally, pi):
+        k = np.arange(9)
+        return pi**k * (1.0 - pi) ** (8 - k) @ tally
+
+    assert counts(tallies[0], 0.5)[2] == pytest.approx(1.0625, abs=1e-15)
+    assert counts(tallies[1], 0.5)[2] == pytest.approx(1.1875, abs=1e-15)
+    p = Pmf({1: 0.5, 3: 0.5})
+    for pi in (0.2, 0.5, 0.8):
+        mix = (counts(tallies[0], pi) + counts(tallies[1], pi)) / 2
+        q = _percolated_inputs(p, cat, pi).q
+        assert q.as_dict() == pytest.approx(
+            {s: c / mix.sum() for s, c in enumerate(mix.tolist()) if c > 0}, abs=1e-12
+        )
+
+    def threshold(tallies):
+        # E[p~] = E[L(L - 1)] / E[L] = 3/2, so the percolated model is
+        # critical where E[S(S - 1)] / E[S] over its pieces reaches 2/3
+        s = np.arange(10)
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            mix = sum(counts(t, mid) for t in tallies)
+            if 1.5 * (mix @ (s * (s - 1))) / (mix @ s) < 1.0:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    tol = 1e-9
+    for graphs, tally in [([a, b], tallies), ([a], tallies[:1]), ([b], tallies[1:])]:
+        catalog = CommunityCatalog((g, 1 / len(graphs)) for g in graphs)
+        lo, hi = critical_pi_bracket(p, catalog, tol)
+        assert lo - tol <= threshold(tally) <= hi + tol
+    assert threshold(tallies[1:]) < threshold(tallies) < threshold(tallies[:1])
+    assert threshold(tallies) == pytest.approx(0.27572, abs=1e-5)
 
 
 def test_catalog_keeps_equal_degree_sequences_apart():
@@ -144,18 +206,6 @@ def test_catalog_keeps_equal_degree_sequences_apart():
     assert [g for g, _ in cat.items] == [prism, k33]
     key = canonical_key(relabel(k33, [6, 5, 4, 3, 2, 1]))
     assert [w for g, w in cat.items if canonical_key(g) == key] == [0.5]
-
-
-def test_catalog_of_distinct_invariants_builds_no_canonical_key(monkeypatch):
-    from rigclab import community
-
-    monkeypatch.setattr(community, "_canonical_cache", {})
-    shapes = [complete_graph(2), complete_graph(3), path_graph(4), cycle_graph(4),
-              complete_graph(4), complete_graph(5), cycle_graph(8)]
-    weights = [0.3, 0.2, 0.15, 0.1, 0.1, 0.1, 0.05]
-    cat = CommunityCatalog(zip(shapes, weights))
-    assert [g for g, _ in cat.items] == shapes
-    assert community._canonical_cache == {}
 
 
 def test_community_list_reads_as_a_sequence(k1, k2, k3):
@@ -206,8 +256,7 @@ def test_percolate_enumerate_pi_one(k3):
 
 
 def test_percolate_enumerate_half(k3, p3, k2, k1):
-    prof = percolate_enumerate(k3, 0.5)
-    by_key = dict(prof.outcomes)
+    by_key = outcome_classes(percolate_enumerate(k3, 0.5))
     assert by_key[(canonical_key(k3),)] == pytest.approx(0.125)
     assert by_key[(canonical_key(p3),)] == pytest.approx(0.375)
     assert by_key[tuple(sorted([canonical_key(k2), canonical_key(k1)]))] == pytest.approx(0.375)
@@ -235,8 +284,8 @@ def test_enumerate_probabilities_sum_to_one():
 def test_enumerate_complement_symmetry(k3):
     # swapping kept and removed maps outcomes of pi to outcomes of 1 - pi
     for pi in (0.2, 0.35):
-        lo = dict(percolate_enumerate(k3, pi).outcomes)
-        hi = dict(percolate_enumerate(k3, 1.0 - pi).outcomes)
+        lo = outcome_classes(percolate_enumerate(k3, pi))
+        hi = outcome_classes(percolate_enumerate(k3, 1.0 - pi))
         m = k3.edge_count
         for mask in range(1 << m):
             kept = [k3.edges[i] for i in range(m) if mask >> i & 1]

@@ -17,6 +17,7 @@ from rigclab import (
     empirical_catalog,
     empirical_l_pmf,
     generate_bcm,
+    giant_stats_rigc,
     project_rigc,
     rigc_components,
     sample_params,
@@ -120,6 +121,13 @@ def test_empirical_catalog(p_estar, k3):
     cat = empirical_catalog(params)
     assert len(cat) == 1
     assert cat.size_pmf().as_dict() == {3: 1.0}
+
+
+def test_empirical_catalog_keeps_labeled_shapes(p3):
+    # two labelings of P3 stay two items, in order of first appearance
+    star = CommunityGraph(3, [(1, 2), (1, 3)])
+    params = build_params([3, 3, 3, 3], [star, p3, star, star])
+    assert empirical_catalog(params).items == ((star, 0.75), (p3, 0.25))
 
 
 def all_matchings(l_degrees, communities):
@@ -357,6 +365,16 @@ def test_rigc_ends_of_two_integer_dtypes_share_int64():
     g = RigcGraph(4, np.array([0, 2], dtype=np.uint64), np.array([1, 3], dtype=np.int64))
     assert g.edge_u.dtype == g.edge_v.dtype == np.int64
     assert rigc_components(g).tolist() == [0, 0, 1, 1]
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.int16])
+def test_rigc_ends_too_narrow_for_the_vertex_count_widen(dtype):
+    # 300 vertices, one edge: the labels reach 299, beyond uint8 and int8
+    g = RigcGraph(300, np.array([0, 1], dtype=dtype), np.array([1, 2], dtype=dtype))
+    assert np.iinfo(g.edge_u.dtype).max >= 299 and g.edge_u.dtype == g.edge_v.dtype
+    labels = rigc_components(g)
+    assert labels[:4].tolist() == [0, 0, 0, 1] and labels.max() == 297
+    assert giant_stats_rigc(g).c1_fraction == 0.01
 
 
 @pytest.mark.parametrize(
