@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -278,12 +278,11 @@ class PercolationProfile:
     ``outcomes`` maps the sorted tuple of component keys to its probability;
     a component's key is its labeled shape ``(n, edges)`` as
     ``split_components`` renumbers it, so isomorphic pieces may carry
-    different keys.  ``components_by_key`` maps each key to its graph.
+    different keys; ``CommunityGraph(*key)`` is the piece itself.
     """
 
     pi: float
     outcomes: tuple[tuple[tuple, float], ...]
-    components_by_key: Mapping[tuple, CommunityGraph]
 
 
 def component_members(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
@@ -334,7 +333,7 @@ class _SubsetCensus:
     with the weights pi^k (1 - pi)^(|E| - k).
     """
 
-    __slots__ = ("m", "outcome_counts", "components_by_key")
+    __slots__ = ("m", "outcome_counts")
 
     def __init__(self, graph: CommunityGraph):
         m = graph.edge_count
@@ -342,18 +341,12 @@ class _SubsetCensus:
             raise TooManyEdges(f"enumeration capped at |E|={ENUM_MAX_EDGES}, got {m}")
         self.m = m
         self.outcome_counts: dict[tuple, np.ndarray] = {}
-        self.components_by_key: dict[tuple, CommunityGraph] = {}
         edges = graph.edges
         n = graph.n
         for mask in range(1 << m):
             kept = [edges[i] for i in range(m) if mask >> i & 1]
             k = len(kept)
-            keys = []
-            for comp in split_components(n, kept):
-                key = (comp.n, comp.edges)
-                keys.append(key)
-                self.components_by_key.setdefault(key, comp)
-            outcome = tuple(sorted(keys))
+            outcome = tuple(sorted((comp.n, comp.edges) for comp in split_components(n, kept)))
             counts = self.outcome_counts.get(outcome)
             if counts is None:
                 counts = self.outcome_counts[outcome] = np.zeros(m + 1)
@@ -389,11 +382,7 @@ def percolate_enumerate(graph: CommunityGraph, pi: float) -> PercolationProfile:
         if p > 0.0:
             outcomes.append((outcome, p))
     outcomes.sort()
-    return PercolationProfile(
-        pi=pi,
-        outcomes=tuple(outcomes),
-        components_by_key=dict(census.components_by_key),
-    )
+    return PercolationProfile(pi=pi, outcomes=tuple(outcomes))
 
 
 # -- component-size census -------------------------------------------------------

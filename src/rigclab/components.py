@@ -22,23 +22,26 @@ _DENSE_CODES_PER_VERTEX = 4
 _BLOCK_ROLES = 1 << 16
 
 
-def _labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Component number per vertex of the graph on ``n`` vertices with edges
-    ``(u[i], v[i])``; components are numbered in order of their lowest vertex.
+def _hook(parent: np.ndarray, roots: np.ndarray, edges: list[np.ndarray]) -> None:
+    """Join, in the forest ``parent``, the trees of the two ends of each edge.
+
+    ``edges`` is ``[u, v]``, both ends roots of ``parent``, and ``roots``
+    holds every root that an edge may reach (repeats not allowed).  The list
+    is emptied first, so the rounds hold the only references to arrays that
+    the caller hands over.
 
     Hook-and-jump rounds (Shiloach & Vishkin, J. Algorithms 3, 57 (1982)):
     every edge between two roots hooks the larger root under the smaller,
     the roots that moved jump to their new roots, and the edges whose ends
     now share a root drop out (self-loops before the first round).  A pointer
-    only ever moves down, so each root is the lowest vertex of its tree, and
-    numbering roots by rank numbers components by their lowest vertex.
-    Every array, the labels included, takes the dtype of ``u``.  ``u`` and
-    ``v`` are only read, and each round drops its edge arrays as soon as
-    their successors exist: at most four edge arrays (the ends, then their
-    minima and maxima) are alive at once.
+    only ever moves down, so each root stays the lowest vertex of its tree.
+    A root hooked in an early round is left pointing at that round's root,
+    which a later round may hook in turn.  Each round drops its edge arrays
+    as soon as their successors exist: at most four edge arrays (the ends,
+    then their minima and maxima) are alive at once.
     """
-    parent = np.arange(n, dtype=u.dtype)
-    roots = parent.copy()
+    u, v = edges
+    edges.clear()
     live = u != v
     u = u[live]
     v = v[live]
@@ -67,13 +70,30 @@ def _labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         live = u != v
         u = u[live]
         v = v[live]
+
+
+def _labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Component number per vertex of the graph on ``n`` vertices with edges
+    ``(u[i], v[i])``; components are numbered in order of their lowest vertex.
+
+    Every vertex starts as its own root and ``_hook`` joins the edges' ends,
+    so each root is the lowest vertex of its tree, and numbering roots by
+    rank numbers components by their lowest vertex.  Every array, the labels
+    included, takes the dtype of ``u``.  ``u`` and ``v`` are only read; when
+    they are temporaries of the caller, ``_hook`` frees them.
+    """
+    parent = np.arange(n, dtype=u.dtype)
+    edges = [u, v]
+    del u, v
+    _hook(parent, parent.copy(), edges)
     # a vertex hooked in an early round still points at that round's root
     while True:
         up = parent[parent]
         if np.array_equal(up, parent):
             break
         parent = up
-    return (np.cumsum(parent == np.arange(n, dtype=u.dtype), dtype=u.dtype) - 1)[parent]
+    dtype = parent.dtype
+    return (np.cumsum(parent == np.arange(n, dtype=dtype), dtype=dtype) - 1)[parent]
 
 
 def rigc_components(graph: RigcGraph) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rigclab import CommunityCatalog, Pmf, percolate_enumerate
+from rigclab import CommunityCatalog, CommunityGraph, Pmf, percolate_enumerate
 from rigclab.errors import OutOfDomain
 from rigclab.explore import STEP2, STEP3
 
@@ -93,7 +93,7 @@ def outcome_classes(profile):
     to isomorphism: sorted tuple of their ``canonical_key`` -> probability."""
     law: dict = {}
     for outcome, prob in profile.outcomes:
-        key = tuple(sorted(canonical_key(profile.components_by_key[k]) for k in outcome))
+        key = tuple(sorted(canonical_key(CommunityGraph(*k)) for k in outcome))
         law[key] = law.get(key, 0.0) + prob
     return law
 
@@ -111,7 +111,6 @@ def mu_pi_limit(catalog, pi):
     catalog's ``mean_size()`` is the mean percolated community size.
     """
     numerator: dict = {}
-    rep: dict = {}
     denominator = 0.0
     for g, w in catalog.items:
         profile = percolate_enumerate(g, pi)
@@ -119,8 +118,9 @@ def mu_pi_limit(catalog, pi):
             denominator += w * prob * len(outcome)
             for key in outcome:
                 numerator[key] = numerator.get(key, 0.0) + w * prob
-                rep.setdefault(key, profile.components_by_key[key])
-    return CommunityCatalog((rep[k], mass / denominator) for k, mass in numerator.items())
+    return CommunityCatalog(
+        (CommunityGraph(*key), mass / denominator) for key, mass in numerator.items()
+    )
 
 
 @dataclass(frozen=True)

@@ -379,6 +379,28 @@ def test_critical_pi_bracket_solves_no_fixed_point(monkeypatch, p_estar, cat_est
         critical_pi_bracket(Pmf({1: 1.0}), cat_estar, 1e-6)
 
 
+def test_critical_pi_bracket_builds_its_inputs_once(monkeypatch, p_estar):
+    """One census-cap check and one census lookup per shape for the whole
+    bisection; each step builds only the percolated size law."""
+    from rigclab import percolation
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("check_census_cap", "size_census"):
+        monkeypatch.setattr(percolation, name, counted(name, getattr(percolation, name)))
+    catalog = mixed_catalog()
+    lo, hi = critical_pi_bracket(p_estar, catalog, 1e-9)
+    assert hi - lo <= 1e-9
+    assert calls == {"check_census_cap": 1, "size_census": len(catalog.items)}
+
+
 def test_critical_pi_bracket_near_critical(k2):
     # K2 with p = (1 - a) delta_1 + a delta_3: the percolated criticality is
     # E[p~] pi = 6a pi / (1 + 2a), so pi_c = (1 + 2a) / (6a), just below one;
@@ -551,6 +573,160 @@ def test_harris_sweep_grid_ends_on_chosen_variates():
     for grid in ([0, 0, 0.5, 1, 1], [1]):
         got = swept(edgeless, grid, Variates([]))
         assert got == sweep_oracle(edgeless, grid, Variates([])) == [(0.2, 0.2, 0.0)] * len(grid)
+
+
+def staged(n, stages):
+    """(graph, variates) from ``stages``: a list of (variate, [(u, v), ...]),
+    each unit entering the sweep at its stage's variate, units in the given
+    order."""
+    units = [(u, v, x) for x, pairs in stages for u, v in pairs]
+    u, v, x = zip(*units)
+    return RigcGraph(n, np.array(u), np.array(v)), list(x)
+
+
+def assert_sweep_matches_oracle(graph, variates, grid):
+    got = swept(graph, grid, Variates(variates))
+    assert got == sweep_oracle(graph, grid, Variates(variates))
+    return got
+
+
+def test_harris_sweep_path_entering_at_one_point():
+    """A path numbered along its length, and the same path with its units
+    reversed end for end, entering at one point: the rounds hook every
+    vertex into one chain, which the jumps must flatten."""
+    n = 300
+    forward = [(i, i + 1) for i in range(n - 1)]
+    backward = [(i + 1, i) for i in reversed(range(n - 1))]
+    grid = [0.25, 0.5, 0.75]
+    for pairs in (forward, backward):
+        g, x = staged(n, [(0.5, pairs)])
+        got = assert_sweep_matches_oracle(g, x, grid)
+        assert got == [(1 / n, 1 / n, 0.0), (1.0, 0.0, (n - 1) / n), (1.0, 0.0, (n - 1) / n)]
+
+
+def test_harris_sweep_path_entering_one_unit_per_point():
+    """One unit per point, from the high end of a path down: each point hooks
+    the component's root under the next lower vertex, so the top vertex sits
+    at the end of an ever longer chain of old roots until a unit reads it."""
+    n = 120
+    stages = [((i + 1) / n, [(n - 2 - i, n - 1 - i)]) for i in range(n - 1)]
+    stages.append((1.0, [(n - 1, n - 1), (n - 1, 0)]))
+    g, x = staged(n, stages)
+    grid = sorted(set(x))
+    got = assert_sweep_matches_oracle(g, x, grid)
+    assert got[-2][0] == 1.0 and got[-1][2] == (n + 1) / n
+
+
+def test_harris_sweep_giant_overtaken_by_a_later_component():
+    # {0, 1, 2} leads with 3 vertices, then {4..8} forms with 5 and leads
+    g, x = staged(
+        10,
+        [
+            (0.1, [(0, 1), (1, 2), (2, 0), (2, 2)]),
+            (0.2, [(8, 7), (7, 6), (6, 5), (5, 4)]),
+            (0.3, [(3, 9)]),
+        ],
+    )
+    got = assert_sweep_matches_oracle(g, x, [0.05, 0.1, 0.2, 0.3])
+    assert got[1] == (0.3, 0.1, 0.4)
+    assert got[2] == (0.5, 0.3, 0.4)
+    assert got[3] == (0.5, 0.3, 0.4)
+
+
+def test_harris_sweep_tie_won_by_the_component_completed_later():
+    """{5, 6, 7} reaches 3 vertices first; {0, 3, 9} ties it later and, holding
+    vertex 0, becomes the giant.  The two carry different kept counts."""
+    g, x = staged(
+        10,
+        [
+            (0.1, [(5, 6), (6, 7), (6, 7), (7, 5)]),
+            (0.2, [(9, 3)]),
+            (0.3, [(3, 0)]),
+        ],
+    )
+    got = assert_sweep_matches_oracle(g, x, [0.1, 0.2, 0.3])
+    assert got[1] == (0.3, 0.2, 0.4)
+    assert got[2] == (0.3, 0.3, 0.2)
+
+
+def test_harris_sweep_giant_root_hooked_under_a_smaller_component():
+    """The giant {4..9} (root 4) joins {0, 1} (root 0): the merged giant's
+    root is 0, and the kept counts of both are summed there."""
+    g, x = staged(
+        12,
+        [
+            (0.1, [(4, 5), (5, 6), (6, 7), (7, 8), (8, 9), (9, 9)]),
+            (0.2, [(0, 1), (1, 1)]),
+            (0.3, [(9, 1)]),
+            (0.4, [(10, 11), (0, 10)]),
+        ],
+    )
+    got = assert_sweep_matches_oracle(g, x, [0.1, 0.2, 0.3, 0.4])
+    assert got[2] == (8 / 12, 1 / 12, 9 / 12)
+    assert got[3] == (10 / 12, 1 / 12, 11 / 12)
+
+
+def test_harris_sweep_point_adding_only_loops_and_repeats():
+    g, x = staged(
+        8,
+        [
+            (0.1, [(0, 1), (1, 2), (3, 4)]),
+            (0.2, [(1, 1), (2, 1), (0, 1), (2, 2), (3, 3), (4, 3)]),
+            (0.3, [(6, 6)]),
+        ],
+    )
+    got = assert_sweep_matches_oracle(g, x, [0.1, 0.2, 0.3, 0.3])
+    assert got[0] == (3 / 8, 2 / 8, 2 / 8)
+    assert got[1] == (3 / 8, 2 / 8, 6 / 8)
+    assert got[2] == got[3] == got[1]
+
+
+def test_harris_sweep_c2_falls_when_the_second_joins_the_giant():
+    """c2 falls from 150 to 3 and then to 1 as the second-largest component
+    joins the giant: the histogram is read well below the old c2."""
+    n = 400
+    giant = [(i, i + 1) for i in range(199)]
+    second = [(i, i + 1) for i in range(200, 349)]
+    g, x = staged(
+        n,
+        [
+            (0.1, giant + second + [(350, 351), (351, 352)]),
+            (0.2, [(348, 3)]),
+            (0.3, [(351, 0)]),
+        ],
+    )
+    got = assert_sweep_matches_oracle(g, x, [0.1, 0.2, 0.3])
+    assert [round(c2 * n) for _, c2, _ in got] == [150, 3, 1]
+
+
+def test_harris_sweep_one_unit_per_point_on_random_multigraphs():
+    """Every unit on a variate of its own and a point at each: the forest
+    takes one union per point, in every order a random multigraph gives."""
+    for seed in range(30):
+        rng = philox(53, seed)
+        n = int(rng.integers(2, 40))
+        m = int(rng.integers(1, 3 * n))
+        pairs = rng.integers(0, n, size=(m, 2))
+        g = RigcGraph(n, pairs[:, 0], pairs[:, 1])
+        x = rng.permutation(m) / m
+        assert_sweep_matches_oracle(g, x, np.sort(x).tolist())
+
+
+def test_harris_sweep_dense_grid_on_seven_shapes():
+    """601 points at N = 2e4 agree at the 20 shared points with a 20-point
+    sweep from the same stream, and each of those with the graph route."""
+    p = Pmf({1: 0.35, 2: 0.3, 3: 0.2, 5: 0.1, 8: 0.05})
+    params = sample_params(p, mixed_catalog(), 20_000, philox(54))
+    rigc = project_rigc(generate_bcm(params, philox(54, 0, 1)), params.communities)
+    fine = [round(i / 600, 10) for i in range(601)]
+    coarse = [round(0.05 * i, 10) for i in range(1, 21)]
+    at = {pi: i for i, pi in enumerate(fine)}
+    assert all(pi in at for pi in coarse)
+    full = harris_sweep(rigc, fine, philox(54, 0, 2))
+    few = harris_sweep(rigc, coarse, philox(54, 0, 2))
+    assert [full[at[pi]] for pi in coarse] == few
+    for pi, stats in zip(coarse, few):
+        assert stats == giant_stats_rigc(percolate_rigc_graph(rigc, pi, philox(54, 0, 2)))
 
 
 def test_harris_sweep_leaves_a_held_projection_unchanged(p_estar, cat_estar):
