@@ -32,7 +32,6 @@ from .components import (
     rigc_components,
 )
 from .explore import (
-    ComponentRecord,
     Trajectory,
     hitting_times,
     horizon,
@@ -52,7 +51,6 @@ from .model import (
 )
 from .percolation import (
     build_com_pi,
-    critical_pi,
     critical_pi_bracket,
     harris_sweep,
     percolate_rigc_graph,

@@ -233,8 +233,10 @@ class Experiment:
                 _fail("pi_grid", "required for sweep mode")
             if sorted(self.pi_grid) != list(self.pi_grid):
                 _fail("pi_grid", "must be sorted ascending")
-        if mode not in ("percolate", "sweep") and (self.pi is not None or self.pi_grid):
+        if mode != "percolate" and self.pi is not None:
             _fail("pi", f"retention parameters are not used by mode {mode!r}")
+        if mode != "sweep" and self.pi_grid is not None:
+            _fail("pi_grid", f"retention parameters are not used by mode {mode!r}")
 
         self.tol = _float(cfg.get("tol", 1e-6), "tol")
         if not 0.0 < self.tol < 1.0:
@@ -366,11 +368,11 @@ def _write_columns(path: Path, header: list[str], columns: list[np.ndarray]) -> 
     ``_write_csv`` would write for their ``.tolist()`` rows.
 
     This serves the column tables, whose cells all come from numpy arrays:
-    each replica's ``trajectory_r{r}.csv`` and ``rigc_edges_r{r}.csv``, and
-    theory's ``curves.csv``.  Each block of ``CSV_CHUNK`` rows becomes one
-    ``uint8`` matrix of integer digits, float reprs, commas and newlines, and
-    its non-NUL bytes are the block's text: no cell is a Python object
-    except one ``repr`` per run of equal floats.
+    each replica's ``trajectory_r{r}.csv``, ``components_r{r}.csv`` and
+    ``rigc_edges_r{r}.csv``, and theory's ``curves.csv``.  Each block of
+    ``CSV_CHUNK`` rows becomes one ``uint8`` matrix of integer digits, float
+    reprs, commas and newlines, and its non-NUL bytes are the block's text:
+    no cell is a Python object except one ``repr`` per run of equal floats.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
@@ -506,12 +508,8 @@ def _job_explore(exp: Experiment, replica: int) -> dict:
         [traj.times, traj.kinds, traj.living, traj.sleeping, traj.sleeping_hat, traj.active,
          traj.waiting],
     )
-    _write_csv(
-        out / f"components_r{replica}.csv",
-        ["start_event", "end_event", "l_vertices", "r_vertices", "edges"],
-        [(r.start_event, r.end_event, r.l_vertices, r.r_vertices, r.edges)
-         for r in traj.component_records],
-    )
+    components = traj.components
+    _write_columns(out / f"components_r{replica}.csv", list(components), list(components.values()))
     _write_csv(
         out / f"hitting_r{replica}.csv",
         ["c", "tau", "tau_theory"],

@@ -400,13 +400,12 @@ class ComponentSizeCensus:
     is nonnegative, so no cancellation can push an expectation below zero.
     """
 
-    __slots__ = ("n", "rows", "_size", "_kept", "_dropped", "_count")
+    __slots__ = ("n", "_size", "_kept", "_dropped", "_count")
 
     def __init__(self, graph: CommunityGraph):
         check_census_cap([graph])
         self.n = graph.n
-        self.rows = _census_rows(graph.n, graph.edges)
-        size, kept, decided, count = zip(*self.rows)
+        size, kept, decided, count = zip(*_census_rows(graph.n, graph.edges))
         self._size = np.array(size)
         self._kept = np.array(kept)
         self._dropped = np.array(decided) - self._kept

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainHorizon, EmptyGrid, OutOfDomain
-from .model import BcmGraph, ModelParams, index_dtype
+from .model import ModelParams, index_dtype
 from .theory import TheoryInputs, curve_table, q_tilde_zero
 
 try:
@@ -42,15 +42,6 @@ STEP1, STEP2, STEP3 = 1, 2, 3
 
 
 @dataclass(frozen=True)
-class ComponentRecord:
-    start_event: int
-    end_event: int
-    l_vertices: int
-    r_vertices: int
-    edges: int
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Time-stamped exploration record; state columns hold post-event values.
 
@@ -63,7 +54,8 @@ class Trajectory:
 
     The matching, the logs, ``sigma``, ``l_owner``, ``d_seq`` and every
     integer column take the index dtype of the matching (``kinds`` is int8,
-    the times float64): every count they hold is at most h + n_l.
+    the times float64, the component table int64): every count they hold is
+    at most h + n_l.
     """
 
     n_l: int
@@ -80,13 +72,6 @@ class Trajectory:
     l_owner: np.ndarray
     l_degrees: np.ndarray
     d_seq: np.ndarray
-
-    def bcm(self, params: ModelParams) -> BcmGraph:
-        return BcmGraph(
-            l_degrees=params.l_degrees,
-            r_degrees=params.r_degrees(),
-            matching=self.matching,
-        )
 
     @property
     def _idx(self) -> np.dtype:
@@ -179,35 +164,25 @@ class Trajectory:
         return waiting
 
     @cached_property
-    def s1_times(self) -> np.ndarray:
-        return self.times[self._step1_pos]
-
-    @cached_property
-    def s2_times(self) -> np.ndarray:
-        return self.times[self.kinds == STEP2]
-
-    @cached_property
-    def component_records(self) -> tuple[ComponentRecord, ...]:
-        starts = self._step1_pos
+    def components(self) -> dict[str, np.ndarray]:
+        """One row per component, keyed by the ``components_r{r}.csv`` header:
+        its first and last event, then its vertices on each side and its
+        edges, all int64."""
+        starts = self._step1_pos.astype(np.int64, copy=False)
         ends = np.append(starts[1:] - 1, len(self.kinds) - 1)
-        per_component = (
-            np.add.reduceat(x, starts, dtype=np.int64).tolist()
+        l_vertices, r_vertices, edges = (
+            np.add.reduceat(x, starts, dtype=np.int64)
             for x in (self._wake > 0, self.kinds == STEP2, self.kinds != STEP1)
         )
-        return tuple(map(ComponentRecord, starts.tolist(), ends.tolist(), *per_component))
+        return {"start_event": starts, "end_event": ends, "l_vertices": l_vertices,
+                "r_vertices": r_vertices, "edges": edges}
 
 
-def run_exploration(
-    params: ModelParams,
-    rng: np.random.Generator,
-    method: str = "race",
-) -> Trajectory:
+def run_exploration(params: ModelParams, rng: np.random.Generator) -> Trajectory:
     """Execute the exploration, producing a uniform matching and its trajectory.
 
-    ``method="race"`` draws ring waits lazily from the shrinking-pool
-    exponential race; ``method="clocks"`` realizes every token's alarm up
-    front and replays them in sorted order.  The two are equal in law; the
-    direct-clock mode is kept as a distributional oracle.
+    The ring schedule is the exponential race: a uniform ring order over the
+    l-half-edges, then the waits Exp(1)/#unrung of the shrinking pool.
 
     The loop has one source, ``_explore_loop``, and fills numpy buffers.  It
     runs compiled on the arrays when numba is importable and interpreted on
@@ -219,12 +194,23 @@ def run_exploration(
     uniforms and ring times are float64.  The random stream does not depend
     on the dtype, so int32 and int64 runs are equal entry for entry.
     """
-    if method not in ("race", "clocks"):
-        raise OutOfDomain(f"unknown method {method!r}")
+    h = params.half_edges
+    # shuffling an arange draws exactly what rng.permutation(h) draws
+    sigma = np.arange(h, dtype=index_dtype(h + params.n_l + params.n_r))
+    rng.shuffle(sigma)
+    ring_time = np.cumsum(rng.exponential(size=h) / np.arange(h, 0, -1))
+    return _explore(params, sigma, ring_time, rng)
 
+
+def _explore(
+    params: ModelParams, sigma: np.ndarray, ring_time: np.ndarray, rng: np.random.Generator
+) -> Trajectory:
+    """The exploration on a given ring schedule: ``sigma`` orders the
+    l-half-edges' rings, in the index dtype, and ``ring_time`` holds their
+    times.  Draws the group discovery order and the uniforms from ``rng``."""
     h = params.half_edges
     n_l, n_r = params.n_l, params.n_r
-    idx = index_dtype(h + n_l + n_r)
+    idx = sigma.dtype
     r_deg_arr = params.r_degrees()
 
     l_owner_arr = np.repeat(np.arange(n_l, dtype=idx), params.l_degrees)
@@ -232,17 +218,6 @@ def run_exploration(
     np.cumsum(params.l_degrees, dtype=idx, out=l_off_arr[1:])
     r_off_arr = np.zeros(n_r + 1, dtype=idx)
     np.cumsum(r_deg_arr, dtype=idx, out=r_off_arr[1:])
-
-    # ring schedule: uniform order over all l-half-edges plus cumulative times
-    if method == "race":
-        # shuffling an arange draws exactly what rng.permutation(h) draws
-        sigma_arr = np.arange(h, dtype=idx)
-        rng.shuffle(sigma_arr)
-        ring_time = np.cumsum(rng.exponential(size=h) / np.arange(h, 0, -1))
-    else:
-        alarms = rng.exponential(size=h)
-        sigma_arr = np.argsort(alarms, kind="stable").astype(idx)
-        ring_time = alarms[sigma_arr]
 
     # group discovery order: size-biased without replacement
     keys = rng.exponential(size=n_r) / r_deg_arr
@@ -256,7 +231,7 @@ def run_exploration(
     uniforms = rng.random(n_l + h + 1)
 
     inputs = (
-        sigma_arr,
+        sigma,
         l_owner_arr,
         l_off_arr,
         params.l_degrees,
@@ -278,7 +253,7 @@ def run_exploration(
         n_l, n_r, h, match,
         step1_iters[:n1].copy(), step1_vertices[:n1].copy(),
         skip_rings[:nskip].copy(), skip_extras[:nskip].copy(),
-        rung_total, ring_time, sigma_arr, l_owner_arr, params.l_degrees, d_seq,
+        rung_total, ring_time, sigma, l_owner_arr, params.l_degrees, d_seq,
     )
 
 

@@ -293,11 +293,6 @@ class RigcGraph:
         object.__setattr__(self, "edge_u", u)
         object.__setattr__(self, "edge_v", v)
 
-    def multiplicities(self) -> dict[tuple[int, int], int]:
-        """Distinct pair (u <= v) -> its number of units."""
-        u, v, mult = _aggregate_edges(self.n_vertices, self.edge_u, self.edge_v)
-        return dict(zip(zip(u.tolist(), v.tolist()), mult.tolist()))
-
 
 def _aggregate_edges(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:
     """(u, v, mult): one row per distinct pair (u <= v) of the units

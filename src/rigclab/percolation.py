@@ -179,11 +179,6 @@ def critical_pi_bracket(
     return lo, hi
 
 
-def critical_pi(p: Pmf, catalog: CommunityCatalog, tol: float = 1e-6) -> float:
-    lo, hi = critical_pi_bracket(p, catalog, tol)
-    return 0.5 * (lo + hi)
-
-
 # -- coupled sweeps ---------------------------------------------------------------
 
 

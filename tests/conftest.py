@@ -1,6 +1,7 @@
 """Shared fixtures and independent oracles for the test suite."""
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -21,6 +22,13 @@ def philox(seed: int, replica: int = 0, role: int = 0) -> np.random.Generator:
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence((seed, replica, role)))
     )
+
+
+def unit_multiplicities(rigc) -> dict[tuple[int, int], int]:
+    """Oracle for the projection's distinct pairs: each (u, v) unit counted
+    under (min, max) by a ``Counter``, one unit at a time."""
+    units = zip(rigc.edge_u.tolist(), rigc.edge_v.tolist())
+    return dict(Counter((min(u, v), max(u, v)) for u, v in units))
 
 
 def bisect_eta(inputs: TheoryInputs, iters: int = 200) -> float:

@@ -4,10 +4,14 @@ These are proof devices of the paper, not its predictions: a branching-process
 survival simulation, a brute-force isomorphism key, the exact limiting
 percolated catalog, the two routes to
 the size-biased percolated community size, the death-process and
-size-biased wake couplings of the exploration, and the sparse convolution
-powers that check the theory's dense ones.  No CLI mode needs them, so
-they live beside the tests.  None calls the rigclab function that the tests
-using it check; they read only the inputs and outputs of that function.
+size-biased wake couplings of the exploration, the exploration's
+direct-clock ring schedule, and the sparse convolution powers that check the
+theory's dense ones.  No CLI mode needs them, so they live beside the tests.
+None calls the rigclab function that the tests using it check; they read
+only the inputs and outputs of that function.  The one exception is on
+purpose: ``run_exploration_clocks`` hands its ring schedule to the same
+exploration loop that ``run_exploration`` runs, because what its tests check
+is the ring schedule, the exponential race against every token's own alarm.
 """
 from __future__ import annotations
 
@@ -21,7 +25,8 @@ import numpy as np
 
 from rigclab import CommunityCatalog, CommunityGraph, Pmf, percolate_enumerate
 from rigclab.errors import OutOfDomain
-from rigclab.explore import STEP2, STEP3
+from rigclab.explore import STEP1, STEP2, STEP3, _explore
+from rigclab.model import index_dtype
 
 
 # -- branching-process cross-check of the fixed point ---------------------------
@@ -188,7 +193,19 @@ def sizebiased_comsize_check(communities, pieces, pi, rng, replicas):
     return SizeBiasedCheck(tv_distance=tv, law_from_catalog=law_a, law_from_roles=law_b)
 
 
-# -- the exploration's giant window and reference death processes -----------------
+# -- the exploration's direct-clock schedule, giant window and death processes ----
+
+
+def run_exploration_clocks(params, rng):
+    """The exploration with every token's alarm realized up front: the ring
+    order is the stable argsort of h unit exponentials, the ring times those
+    exponentials in that order.  Equal in law to ``run_exploration``'s
+    exponential race; the group order, the uniforms and the loop are
+    rigclab's own."""
+    h = params.half_edges
+    alarms = rng.exponential(size=h)
+    sigma = np.argsort(alarms, kind="stable").astype(index_dtype(h + params.n_l + params.n_r))
+    return _explore(params, sigma, alarms[sigma], rng)
 
 
 def giant_exploration_window(traj, t_star):
@@ -197,7 +214,7 @@ def giant_exploration_window(traj, t_star):
     In the supercritical regime these bracket the giant's exploration and
     converge to (0, t*).
     """
-    s1 = traj.s1_times
+    s1 = traj.times[traj.kinds == STEP1]
     before = s1[s1 <= t_star / 2]
     after = s1[s1 > t_star / 2]
     t1 = float(before[-1]) if len(before) else math.nan

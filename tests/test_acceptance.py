@@ -224,9 +224,9 @@ def test_criterion_07_critical_threshold(estar, oracle):
     pi_c_oracle = 0.5 * (lo + hi)
     assert pi_c_oracle == pytest.approx(0.27765, abs=1e-4)
 
-    pi_c = rl.critical_pi(p, catalog, 1e-6)
+    pi_c = 0.5 * sum(rl.critical_pi_bracket(p, catalog, 1e-6))
     k2_cat = rl.CommunityCatalog([(rl.complete_graph(2), 1.0)])
-    pi_c_k2 = rl.critical_pi(p, k2_cat, 1e-6)
+    pi_c_k2 = 0.5 * sum(rl.critical_pi_bracket(p, k2_cat, 1e-6))
 
     below, above = 0, 0
     for rep in range(REPLICAS):

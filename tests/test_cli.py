@@ -11,8 +11,16 @@ import numpy as np
 import pytest
 
 import rigclab
-from conftest import gilbert_component_counts, philox
-from rigclab import CommunityCatalog, Pmf, complete_graph, run_exploration, sample_params
+from conftest import gilbert_component_counts, philox, unit_multiplicities
+from rigclab import (
+    CommunityCatalog,
+    Pmf,
+    complete_graph,
+    generate_bcm,
+    project_rigc,
+    run_exploration,
+    sample_params,
+)
 from rigclab import cli, model
 from rigclab.cli import DEFAULT_TOLERANCES, _write_columns, _write_csv, compare, run
 from rigclab.errors import KeyMismatch
@@ -175,6 +183,12 @@ VALID_SAMPLED = dict(inputs={"l_pmf": {"1": 0.5, "3": 0.5}, "catalog": K3_CATALO
         pytest.param("explore", {"c_grid": [0.5, True]}, "c_grid[1]", id="c-grid-bool"),
         pytest.param("theory", {"c_grid": [True]}, "c_grid[0]", id="theory-c-grid-bool"),
         pytest.param("sweep", {"pi_grid": [0.5, True]}, "pi_grid[1]", id="pi-grid-bool"),
+        # each percolation mode reads one retention field and refuses the other
+        pytest.param(
+            "percolate", {"pi": 0.5, "pi_grid": [0.9]}, "pi_grid", id="percolate-pi-grid-unused"
+        ),
+        pytest.param("sweep", {"pi": 0.5, "pi_grid": [0.9]}, "pi", id="sweep-pi-unused"),
+        pytest.param("giant", {"pi_grid": [0.9]}, "pi_grid", id="giant-pi-grid-unused"),
         pytest.param(
             "giant",
             {"inputs": {"l_pmf": {"1": 1.0},
@@ -653,6 +667,32 @@ def test_trajectory_csv_matches_exploration(tmp_path):
         assert [parse(c) for c in column] == expected[name].tolist(), name
 
 
+def test_components_csv_matches_exploration(tmp_path, monkeypatch):
+    """The component table, written in blocks of 8 rows, holds no NUL byte
+    and parses back to the exploration drawn from the same streams."""
+    monkeypatch.setattr(cli, "CSV_CHUNK", 8)
+    seed, n = 13, 3_000
+    cfg = write_config(
+        tmp_path, "cfg.json", inputs=ESTAR_INPUTS, target_n=n, replicas=1, seed=seed,
+        out_dir=str(tmp_path / "out"),
+    )
+    assert run(cfg, mode="explore") == 0
+    data = (tmp_path / "out" / "components_r0.csv").read_bytes()
+    assert b"\0" not in data
+    lines = data.decode("ascii").splitlines()
+    assert len(lines) > 2 * cli.CSV_CHUNK
+    header = lines[0].split(",")
+    cells = list(zip(*(line.split(",") for line in lines[1:])))
+
+    catalog = CommunityCatalog([(complete_graph(3), 1.0)])
+    params = sample_params(Pmf({1: 0.5, 3: 0.5}), catalog, n, philox(seed, 0, 0))
+    components = run_exploration(params, philox(seed, 0, 3)).components
+    assert header == ["start_event", "end_event", "l_vertices", "r_vertices", "edges"]
+    assert header == list(components)
+    for name, column in zip(header, cells):
+        assert [int(c) for c in column] == components[name].tolist(), name
+
+
 @pytest.mark.parametrize(
     "mode,name,fields", [("explore", "trajectory_r0.csv", 7), ("generate", "rigc_edges_r0.csv", 3)]
 )
@@ -944,6 +984,13 @@ def test_generate_mode(tmp_path):
     assert run(cfg, mode="generate") == 0
     edges = (tmp_path / "out" / "rigc_edges_r0.csv").read_text().splitlines()
     assert edges[0] == "u,v,mult"
+    # the rows are the distinct pairs of the projection drawn from the same
+    # streams, in ascending order, each with its number of units
+    catalog = CommunityCatalog([(complete_graph(3), 1.0)])
+    drawn = sample_params(Pmf({1: 0.5, 3: 0.5}), catalog, 200, philox(5, 0, 0))
+    rigc = project_rigc(generate_bcm(drawn, philox(5, 0, 1)), drawn.communities)
+    rows = [tuple(map(int, line.split(","))) for line in edges[1:]]
+    assert rows == sorted((u, v, m) for (u, v), m in unit_multiplicities(rigc).items())
     params = json.loads((tmp_path / "out" / "params_r0.json").read_text())
     assert sum(params["l_degrees"]) == sum(g["n"] for g in params["communities"])
 

@@ -118,7 +118,7 @@ def test_percolation_two_paths_match_prediction(mixed, mixed_instance):
 def test_critical_pi_brackets_empirical_transition(mixed, mixed_instance):
     p, catalog, _, _ = mixed
     params, _, rigc = mixed_instance
-    pi_c = rl.critical_pi(p, catalog, 1e-4)
+    pi_c = 0.5 * sum(rl.critical_pi_bracket(p, catalog, 1e-4))
     assert 0.0 < pi_c < 1.0
     sweep = rl.harris_sweep(
         rigc, [max(pi_c - 0.15, 0.01), min(pi_c + 0.25, 1.0)], philox(71, 0, 5)

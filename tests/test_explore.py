@@ -20,15 +20,23 @@ from rigclab import (
     sample_params,
     trajectory_sup_error,
 )
-from rigclab import explore, model
+from rigclab import BcmGraph, explore, model
 from rigclab.errors import DomainHorizon, EmptyGrid, OutOfDomain
+from rigclab.explore import STEP1, STEP2
 from conftest import philox
 from oracles import (
     coupled_standard_hitting,
     giant_exploration_window,
+    run_exploration_clocks,
     standard_death_process,
     zr_process,
 )
+
+COMPONENT_HEADER = ("start_event", "end_event", "l_vertices", "r_vertices", "edges")
+
+
+def step_times(traj, kind):
+    return traj.times[traj.kinds == kind]
 
 
 def check_trajectory_invariants(traj):
@@ -41,24 +49,25 @@ def check_trajectory_invariants(traj):
     assert (traj.living == traj.sleeping + traj.active).all()
     assert (traj.waiting >= 0).all()
     # s1 is a sublist of s2 (with multiplicity)
-    c1 = Counter(traj.s1_times.tolist())
-    c2 = Counter(traj.s2_times.tolist())
+    c1 = Counter(step_times(traj, STEP1).tolist())
+    c2 = Counter(step_times(traj, STEP2).tolist())
     assert all(c2[t] >= c for t, c in c1.items())
     # the matching is a bijection
     assert sorted(traj.matching.tolist()) == list(range(traj.h))
     # per-component edge counts carve up the total
-    assert sum(r.edges for r in traj.component_records) == traj.h
-    assert sum(r.l_vertices for r in traj.component_records) == traj.n_l
-    assert sum(r.r_vertices for r in traj.component_records) == traj.n_r
+    assert tuple(traj.components) == COMPONENT_HEADER
+    assert traj.components["edges"].sum() == traj.h
+    assert traj.components["l_vertices"].sum() == traj.n_l
+    assert traj.components["r_vertices"].sum() == traj.n_r
 
 
 def test_forced_sequence_two_singles(k2):
     params = build_params([1, 1], [k2])
     traj = run_exploration(params, philox(1))
     assert traj.kinds.tolist() == [1, 2, 3]
-    assert len(traj.component_records) == 1
-    rec = traj.component_records[0]
-    assert (rec.l_vertices, rec.r_vertices, rec.edges) == (2, 1, 2)
+    assert {name: col.tolist() for name, col in traj.components.items()} == {
+        "start_event": [0], "end_event": [2], "l_vertices": [2], "r_vertices": [1], "edges": [2]
+    }
     check_trajectory_invariants(traj)
 
 
@@ -66,12 +75,12 @@ def test_degree_one_group_duplicates(k1):
     params = build_params([1], [k1])
     traj = run_exploration(params, philox(2))
     assert traj.kinds.tolist() == [1, 2]
-    assert traj.s1_times.tolist() == [0.0]
-    assert traj.s2_times.tolist() == [0.0]
+    assert step_times(traj, STEP1).tolist() == [0.0]
+    assert step_times(traj, STEP2).tolist() == [0.0]
     params2 = build_params([1, 1], [k1, k1])
     traj2 = run_exploration(params2, philox(3))
     assert traj2.kinds.tolist() == [1, 2, 1, 2]
-    assert traj2.s1_times.tolist() == [0.0, 0.0]
+    assert step_times(traj2, STEP1).tolist() == [0.0, 0.0]
     check_trajectory_invariants(traj2)
 
 
@@ -95,7 +104,7 @@ def test_invariants_with_singleton_groups(k1, k2, k3):
         assert (traj.waiting[traj.kinds == 1] == 0).all()
         # size-1 discoveries leave duplicated time stamps in s2
         if any(g.n == 1 for g in params.communities):
-            stamps = Counter(traj.s2_times.tolist())
+            stamps = Counter(step_times(traj, STEP2).tolist())
             assert any(v > 1 for v in stamps.values())
 
 
@@ -106,7 +115,8 @@ def assert_trajectories_identical(a, b):
     assert (a.living == b.living).all()
     assert (a.sleeping == b.sleeping).all()
     assert (a.sleeping_hat == b.sleeping_hat).all()
-    assert a.component_records == b.component_records
+    for name in COMPONENT_HEADER:
+        assert (a.components[name] == b.components[name]).all(), name
 
 
 def test_compiled_engine_identical(p_estar, cat_estar, monkeypatch):
@@ -122,9 +132,20 @@ def test_compiled_engine_identical(p_estar, cat_estar, monkeypatch):
 
 
 COLUMNS = (
-    "times", "kinds", "living", "sleeping", "sleeping_hat", "active", "waiting",
-    "s1_times", "s2_times", "component_records",
+    "times", "kinds", "living", "sleeping", "sleeping_hat", "active", "waiting", "components",
 )
+
+
+def read_columns(traj, names):
+    """The named columns in the order given, the component table's split
+    into ``components.<header name>`` entries."""
+    columns = {}
+    for name in names:
+        if name == "components":
+            columns.update((f"components.{key}", col) for key, col in traj.components.items())
+        else:
+            columns[name] = getattr(traj, name)
+    return columns
 
 
 def test_matching_alone_builds_no_column(p_estar, cat_estar):
@@ -139,9 +160,9 @@ def test_matching_alone_builds_no_column(p_estar, cat_estar):
 def test_columns_independent_of_read_order(p_estar, cat_estar):
     params = sample_params(p_estar, cat_estar, 2_000, philox(52))
     forward, backward = (run_exploration(params, philox(53)) for _ in range(2))
-    first = {name: getattr(forward, name) for name in COLUMNS}
-    second = {name: getattr(backward, name) for name in reversed(COLUMNS)}
-    assert first.pop("component_records") == second.pop("component_records")
+    first = read_columns(forward, COLUMNS)
+    second = read_columns(backward, reversed(COLUMNS))
+    assert first.keys() == second.keys()
     for name, column in first.items():
         assert column.dtype == second[name].dtype, name
         assert np.array_equal(column, second[name]), name
@@ -150,37 +171,41 @@ def test_columns_independent_of_read_order(p_estar, cat_estar):
 LOGS = ("step1_iters", "step1_vertices", "skip_rings", "skip_extras")
 
 
-ARRAY_COLUMNS = tuple(name for name in COLUMNS if name != "component_records")
 #: columns whose dtype does not follow the index dtype
-FIXED_DTYPES = {"times": np.float64, "s1_times": np.float64, "s2_times": np.float64,
-                "kinds": np.int8}
+FIXED_DTYPES = {"times": np.float64, "kinds": np.int8,
+                **{f"components.{name}": np.int64 for name in COMPONENT_HEADER}}
 
 
-@pytest.mark.parametrize("method", ["race", "clocks"])
-def test_int64_exploration_equals_int32(k1, k2, k3, method, monkeypatch):
+@pytest.mark.parametrize(
+    "explore_fn", [run_exploration, run_exploration_clocks], ids=["race", "clocks"]
+)
+def test_int64_exploration_equals_int32(k1, k2, k3, explore_fn, monkeypatch):
     """With the int32 limit lowered to the instance's own index count, the
-    same exploration runs on int64 buffers: the matching, the logs, every
-    column and the component records equal the int32 run's."""
+    same exploration runs on int64 buffers: the matching, the logs and every
+    column, the component table's too, equal the int32 run's."""
     from rigclab import CommunityCatalog, Pmf
 
     cat = CommunityCatalog([(k1, 0.2), (k2, 0.3), (k3, 0.5)])
     params = sample_params(Pmf({1: 0.4, 2: 0.3, 4: 0.3}), cat, 3_000, philox(58))
     count = params.half_edges + params.n_l + params.n_r
-    runs = []
+    runs, rung_totals = [], []
     for limit, dtype in ((count + 1, np.int32), (count, np.int64)):
         monkeypatch.setattr(model, "INDEX32_LIMIT", limit)
-        traj = run_exploration(params, philox(59), method=method)
-        for name in ("matching", "sigma", "l_owner", "d_seq", *LOGS):
+        traj = explore_fn(params, philox(59))
+        for name in ("l_owner", "d_seq"):
             assert getattr(traj, name).dtype == dtype, name
-        for name in ARRAY_COLUMNS:
-            assert getattr(traj, name).dtype == FIXED_DTYPES.get(name, dtype), name
-        runs.append(traj)
+        columns = read_columns(traj, ("matching", "sigma", *LOGS, *COLUMNS))
+        for name, column in columns.items():
+            assert column.dtype == FIXED_DTYPES.get(name, dtype), name
+        runs.append(columns)
+        rung_totals.append(traj.rung_total)
     narrow, wide = runs
-    assert len(narrow.skip_rings) > 0 and len(narrow.step1_iters) > 1
-    for name in ("matching", "sigma", *LOGS, *ARRAY_COLUMNS):
-        np.testing.assert_array_equal(getattr(narrow, name), getattr(wide, name), err_msg=name)
-    assert narrow.rung_total == wide.rung_total
-    assert narrow.component_records == wide.component_records
+    assert len(narrow["skip_rings"]) > 0 and len(narrow["step1_iters"]) > 1
+    assert len(narrow["components.edges"]) > 1
+    assert narrow.keys() == wide.keys()
+    for name, column in narrow.items():
+        np.testing.assert_array_equal(column, wide[name], err_msg=name)
+    assert rung_totals[0] == rung_totals[1]
 
 
 def test_logs_own_their_memory(p_estar, cat_estar):
@@ -197,14 +222,16 @@ def test_logs_own_their_memory(p_estar, cat_estar):
 def test_component_records_match_union_find(p_estar, cat_estar):
     params = sample_params(p_estar, cat_estar, 3_000, philox(8))
     traj = run_exploration(params, philox(9))
-    labels = bcm_components(traj.bcm(params))
+    bcm = BcmGraph(l_degrees=params.l_degrees, r_degrees=params.r_degrees(), matching=traj.matching)
+    labels = bcm_components(bcm)
     sizes = np.bincount(labels)
     l_counts = np.bincount(labels[: params.n_l], minlength=len(sizes))
-    assert len(traj.component_records) == len(sizes)
-    assert sorted(r.l_vertices for r in traj.component_records) == sorted(l_counts.tolist())
-    assert max(r.l_vertices for r in traj.component_records) == l_counts.max()
-    edge_counts = np.bincount(labels[traj.bcm(params).l_owner], minlength=len(sizes))
-    assert sorted(r.edges for r in traj.component_records) == sorted(edge_counts.tolist())
+    records = traj.components
+    assert len(records["l_vertices"]) == len(sizes)
+    assert sorted(records["l_vertices"].tolist()) == sorted(l_counts.tolist())
+    assert records["l_vertices"].max() == l_counts.max()
+    edge_counts = np.bincount(labels[bcm.l_owner], minlength=len(sizes))
+    assert sorted(records["edges"].tolist()) == sorted(edge_counts.tolist())
 
 
 def test_matching_uniform_micro_chisquare(k2):
@@ -225,7 +252,7 @@ def test_clock_method_uniform_micro_chisquare(k2):
     counts = Counter()
     n = 50_000
     for _ in range(n):
-        counts[tuple(run_exploration(params, rng, method="clocks").matching.tolist())] += 1
+        counts[tuple(run_exploration_clocks(params, rng).matching.tolist())] += 1
     assert len(counts) == 24
     _, pvalue = chisquare(list(counts.values()))
     assert pvalue > 0.001
@@ -409,7 +436,7 @@ def test_method_distributions_agree(k3):
     for _ in range(4_000):
         taus_race.append(float(hitting_times(run_exploration(params, rng_a), [0.5])[0]))
         taus_clock.append(
-            float(hitting_times(run_exploration(params, rng_b, method="clocks"), [0.5])[0])
+            float(hitting_times(run_exploration_clocks(params, rng_b), [0.5])[0])
         )
     a, b = np.array(taus_race), np.array(taus_clock)
     assert abs(a.mean() - b.mean()) < 3 * math.sqrt(a.var() / len(a) + b.var() / len(b))

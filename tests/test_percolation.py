@@ -15,7 +15,6 @@ from rigclab import (
     build_com_pi,
     build_params,
     complete_graph,
-    critical_pi,
     cycle_graph,
     critical_pi_bracket,
     generate_bcm,
@@ -301,6 +300,12 @@ def test_theory_path_does_no_enumeration(monkeypatch):
         assert pred.supercritical == ref.supercritical
         for field in ("eta_l", "eta_r", "xi_l", "xi_r", "criticality_value"):
             assert getattr(pred, field) == pytest.approx(getattr(ref, field), abs=1e-12), field
+
+
+def critical_pi(p, catalog, tol):
+    """The midpoint of the threshold's bracket, as pi-c reports it."""
+    lo, hi = critical_pi_bracket(p, catalog, tol)
+    return 0.5 * (lo + hi)
 
 
 def test_critical_pi_reference(p_estar, cat_estar):
