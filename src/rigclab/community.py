@@ -15,6 +15,7 @@ with it the percolated giant and the critical retention probability, follow.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from collections.abc import Iterable, Sequence
@@ -359,15 +360,9 @@ class _SubsetCensus:
         return w
 
 
-_census_cache: dict[tuple[int, tuple], _SubsetCensus] = {}
-
-
+@functools.cache
 def _subset_census(graph: CommunityGraph) -> _SubsetCensus:
-    key = (graph.n, graph.edges)
-    census = _census_cache.get(key)
-    if census is None:
-        census = _census_cache[key] = _SubsetCensus(graph)
-    return census
+    return _SubsetCensus(graph)
 
 
 def percolate_enumerate(graph: CommunityGraph, pi: float) -> PercolationProfile:
@@ -478,13 +473,7 @@ def _census_rows(n: int, edges: Sequence[tuple[int, int]]) -> tuple[tuple[int, i
     return tuple(rows)
 
 
-_size_census_cache: dict[tuple[int, tuple], ComponentSizeCensus] = {}
-
-
+@functools.cache
 def size_census(graph: CommunityGraph) -> ComponentSizeCensus:
     """The graph's component-size census, built once per labeled shape."""
-    key = (graph.n, graph.edges)
-    census = _size_census_cache.get(key)
-    if census is None:
-        census = _size_census_cache[key] = ComponentSizeCensus(graph)
-    return census
+    return ComponentSizeCensus(graph)

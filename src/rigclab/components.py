@@ -8,7 +8,7 @@ reproducible.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -158,12 +158,7 @@ class GiantStats:
     edges_in_giant_per_N: float
 
     def as_dict(self) -> dict:
-        return {
-            "n_vertices": self.n_vertices,
-            "c1_fraction": self.c1_fraction,
-            "c2_fraction": self.c2_fraction,
-            "edges_in_giant_per_N": self.edges_in_giant_per_N,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

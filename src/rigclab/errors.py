@@ -65,10 +65,6 @@ class ExcludedRegime(LabError):
     pass
 
 
-class NonConvergence(LabError):
-    pass
-
-
 class NotSupercritical(LabError):
     pass
 

@@ -28,7 +28,7 @@ from .components import GiantStats, _hook
 from .errors import NotSupercritical, OutOfDomain
 from .model import RigcGraph
 from .pmf import Pmf
-from .theory import GiantPrediction, TheoryInputs, check_regime, giant_prediction
+from .theory import GiantPrediction, TheoryInputs, bisect, check_regime, giant_prediction
 
 
 def percolate_rigc_graph(
@@ -165,18 +165,9 @@ def critical_pi_bracket(
         q_tilde = _percolated_size_law(censuses, pi).size_bias().shift_down_one()
         return p_tilde_mean * q_tilde.mean() > 1.0
 
-    lo, hi = 0.0, 1.0
     if supercritical(1e-12):
         return (0.0, 0.0)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break  # adjacent floats: no tol can shrink the bracket further
-        if supercritical(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
+    return bisect(lambda pi: not supercritical(pi), 0.0, 1.0, tol)
 
 
 # -- coupled sweeps ---------------------------------------------------------------

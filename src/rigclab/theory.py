@@ -9,18 +9,16 @@ curves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .community import CommunityCatalog
 from .components import BcmGiantStats
-from .errors import ExcludedRegime, NonConvergence, NotSupercritical, OutOfDomain
+from .errors import ExcludedRegime, NotSupercritical, OutOfDomain
 from .pmf import Pmf
 
-#: fixed-point iteration stops when the increment drops below this
-FIXED_POINT_INCREMENT = 1e-13
-FIXED_POINT_MAX_ITER = 10**6
 #: the almost-2-regular input regime is rejected within this tolerance
 EXCLUDED_REGIME_TOL = 1e-12
 
@@ -83,14 +81,7 @@ class GiantPrediction:
     criticality_value: float
 
     def as_dict(self) -> dict:
-        return {
-            "eta_l": self.eta_l,
-            "eta_r": self.eta_r,
-            "xi_l": self.xi_l,
-            "xi_r": self.xi_r,
-            "supercritical": self.supercritical,
-            "criticality_value": self.criticality_value,
-        }
+        return asdict(self)
 
 
 def check_regime(inputs: TheoryInputs) -> None:
@@ -102,25 +93,45 @@ def check_regime(inputs: TheoryInputs) -> None:
         )
 
 
-def solve_eta_l(inputs: TheoryInputs) -> float:
-    """Smallest fixed point of the composed tilted PGFs, iterated up from 0.
+def bisect(
+    below: Callable[[float], bool], lo: float, hi: float, width: float
+) -> tuple[float, float]:
+    """Halve [lo, hi], where ``below(lo)`` holds and ``below(hi)`` does not,
+    until the bracket is at most ``width`` wide or its ends are adjacent
+    floats; the root of the predicate's sign change stays inside."""
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break  # adjacent floats: no width can shrink the bracket further
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
-    The composition is itself a PGF (of the grandchild offspring count), so
-    iteration from 0 increases monotonically to the smallest fixed point.
+
+def solve_eta_l(inputs: TheoryInputs) -> float:
+    """Smallest fixed point of the composed tilted PGFs G(z) = G_q~(G_p~(z)).
+
     Whenever the criticality is at most one, that fixed point is exactly 1
     and is returned as such; the almost-2-regular regime is rejected
-    outright (``check_regime``).
+    outright (``check_regime``).  Above it, G(z) - z is convex, vanishes at
+    1 with slope criticality - 1 > 0, so it is positive below the root and
+    negative between the root and 1: its sign is bisected down to a bracket
+    of 2^-60 or adjacent floats.  G(0) = 0, when neither side has degree 1,
+    is the root 0 exactly.
     """
     check_regime(inputs)
     if inputs.criticality <= 1.0:
         return 1.0
-    eta = 0.0
-    for _ in range(FIXED_POINT_MAX_ITER):
-        nxt = inputs.q_tilde.gf_eval(inputs.p_tilde.gf_eval(eta))
-        if nxt - eta < FIXED_POINT_INCREMENT:
-            return nxt
-        eta = nxt
-    raise NonConvergence("fixed-point iteration did not converge")
+
+    def grandchild_gf(z: float) -> float:
+        return inputs.q_tilde.gf_eval(inputs.p_tilde.gf_eval(z))
+
+    if grandchild_gf(0.0) == 0.0:
+        return 0.0
+    lo, hi = bisect(lambda z: grandchild_gf(z) > z, 0.0, 1.0, 2.0**-60)
+    return 0.5 * (lo + hi)
 
 
 def giant_prediction(inputs: TheoryInputs) -> GiantPrediction:

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb
 
@@ -49,6 +51,32 @@ def bisect_eta(inputs: TheoryInputs, iters: int = 200) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def decimal_eta(
+    p_tilde: Mapping[int, Decimal], q_tilde: Mapping[int, Decimal], iters: int = 200
+) -> Decimal:
+    """Independent fixed-point oracle in 80-digit decimals: bisection for the
+    smallest root of G(z) = z, G = G_qt o G_pt, on the two tilted laws given
+    as weights (renormalized here, so that G(1) = 1 exactly).  Above
+    criticality G(z) - z is positive below that root and negative between it
+    and 1, so the root lies within 2^-iters of the result."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        pt_total, qt_total = sum(p_tilde.values()), sum(q_tilde.values())
+
+        def grandchild_gf(z: Decimal) -> Decimal:
+            x = sum(w * z**k for k, w in p_tilde.items()) / pt_total
+            return sum(w * x**k for k, w in q_tilde.items()) / qt_total
+
+        lo, hi = Decimal(0), Decimal(1)
+        for _ in range(iters):
+            mid = (lo + hi) / 2
+            if grandchild_gf(mid) > mid:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
 
 
 def exact_pgf_inverse(weights: dict[int, Fraction], y: Fraction, iters: int = 80) -> Fraction:

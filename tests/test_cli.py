@@ -68,6 +68,24 @@ def test_theory_mode_excluded_regime_exit_3(tmp_path, capsys, mode):
     assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
 
+def test_theory_mode_near_criticality(tmp_path):
+    # K2 with p = (1 - a) delta_1 + a delta_3 at criticality 6a / (1 + 2a) =
+    # 1 + 1e-6: the fixed point is 1 - 2.0e-6, the smaller root of
+    # 3a z^2 - (1 + 2a) z + 1 - a
+    inputs = {
+        "l_pmf": {"1": 0.7499996249998125, "3": 0.25000037500018746},
+        "catalog": [{"graph": {"complete": 2}, "weight": 1.0}],
+    }
+    cfg = write_config(tmp_path, "cfg.json", inputs=inputs, out_dir=str(tmp_path / "out"))
+    start = time.perf_counter()
+    assert run(cfg, mode="theory") == 0
+    assert time.perf_counter() - start < 1.0
+    prediction = json.loads((tmp_path / "out" / "theory.json").read_text())["prediction"]
+    assert prediction["supercritical"] is True
+    assert prediction["criticality_value"] == pytest.approx(1 + 1e-6, abs=1e-12)
+    assert 1 - prediction["eta_l"] == pytest.approx(2.0e-6, rel=1e-3)
+
+
 def test_config_validation_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path, "cfg.json", inputs={"l_pmf": {"1": 1.0}})
     assert run(cfg, mode="giant") == 2
@@ -897,7 +915,7 @@ def test_pi_c_mode_above_vertex_cap_exit_3(tmp_path, capsys, monkeypatch):
         raise AssertionError(f"census built for a graph on {n} vertices")
 
     # the cap is checked for every shape before any census is built
-    monkeypatch.setattr(community, "_size_census_cache", {})
+    community.size_census.cache_clear()
     monkeypatch.setattr(community, "_census_rows", no_census)
     cfg = write_config(
         tmp_path,

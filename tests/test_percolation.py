@@ -1,6 +1,8 @@
 import itertools
 import json
+import time
 from collections import Counter
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from rigclab import (
 )
 from rigclab.errors import ExcludedRegime, NotSupercritical, OutOfDomain
 from rigclab.percolation import _percolated_inputs
-from conftest import bisect_eta, philox
+from conftest import bisect_eta, decimal_eta, philox
 from oracles import canonical_key, mu_pi_limit, outcome_classes, sizebiased_comsize_check
 
 
@@ -290,7 +292,7 @@ def test_theory_path_does_no_enumeration(monkeypatch):
         (community, "_SubsetCensus"),
     ]:
         monkeypatch.setattr(module, name, forbidden)
-    monkeypatch.setattr(community, "_size_census_cache", {})
+    community.size_census.cache_clear()
 
     lo, hi = critical_pi_bracket(p, catalog, 1e-6)
     assert hi - lo <= 1e-6
@@ -418,6 +420,33 @@ def test_critical_pi_bracket_near_critical(k2):
         lo, hi = critical_pi_bracket(p, cat, tol)
         assert hi - lo <= tol
         assert lo <= pi_c <= hi
+
+
+@pytest.mark.parametrize("offset", [1e-7, 1e-5])
+def test_percolated_prediction_just_above_threshold(k3, offset):
+    # triangles with p = 1/2 delta_1 + 1/2 delta_3, so p~ = 1/4 delta_0 +
+    # 3/4 delta_2; a percolated triangle has E[#size 3] = pi^3 + 3 pi^2 (1 - pi),
+    # E[#size 2] = 3 pi (1 - pi)^2 and E[#size 1] = 3 pi (1 - pi)^2 + 3 (1 - pi)^3
+    p = Pmf({1: 0.5, 3: 0.5})
+    cat = CommunityCatalog([(k3, 1.0)])
+    pi = critical_pi_bracket(p, cat, 1e-12)[1] + offset
+    start = time.perf_counter()
+    pred = percolated_prediction(p, cat, pi)
+    elapsed = time.perf_counter() - start
+    with localcontext() as ctx:
+        ctx.prec = 80
+        x = Decimal(pi)
+        counts = {3: x**3 + 3 * x**2 * (1 - x), 2: 3 * x * (1 - x) ** 2}
+        counts[1] = 3 * x * (1 - x) ** 2 + 3 * (1 - x) ** 3
+        # q~_pi puts weight proportional to s E[#size s] at s - 1
+        q_tilde = {s - 1: s * c for s, c in counts.items()}
+        eps = Decimal(3) / 2 * sum(k * w for k, w in q_tilde.items()) / sum(q_tilde.values()) - 1
+        eta = decimal_eta({0: Decimal(1), 2: Decimal(3)}, q_tilde)
+        xi = 1 - (eta + eta**3) / 2
+    assert pred.supercritical
+    # eta is certain to within 32 * 2^-53 / eps, and |d xi / d eta| <= E[L] = 2
+    assert abs(pred.xi_l - float(xi)) <= 64 * 2.0**-53 / float(eps)
+    assert elapsed < 0.05
 
 
 @pytest.mark.parametrize("p", [{2: 1.0}, {2: 1 - 1e-13, 3: 1e-13}])

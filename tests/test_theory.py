@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,7 @@ from rigclab import (
     solve_eta_l,
 )
 from rigclab.errors import ExcludedRegime, NotSupercritical, OutOfDomain
-from conftest import bisect_eta, exact_pgf_inverse, philox
+from conftest import bisect_eta, decimal_eta, exact_pgf_inverse, philox
 from oracles import bp_survival_sim, convolve_power
 
 
@@ -109,6 +110,71 @@ def test_solver_matches_bisection_on_random_inputs():
         assert abs(eta - bisect_eta(inputs)) < 1e-9
         resid = eta - inputs.q_tilde.gf_eval(inputs.p_tilde.gf_eval(eta))
         assert abs(resid) < 1e-10
+
+
+def k2_near_critical(eps):
+    """K2 with p = (1 - a) delta_1 + a delta_3, whose criticality
+    E[p~] = 6a / (1 + 2a) is 1 + eps."""
+    a = (1 + eps) / (4 - 2 * eps)
+    return make_inputs({1: 1 - a, 3: a}, [(complete_graph(2), 1.0)])
+
+
+def conditioning_floor(eps):
+    """Error bound near criticality 1 + eps: the residual's rounding, about
+    2^-53, over its slope at the root, about eps, with room to spare."""
+    return 32 * 2.0**-53 / eps
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-5, 1e-6, 1e-9])
+def test_solver_near_criticality_matches_exact_quadratic_root(eps):
+    # q~ = delta_1 and p~ = w0 delta_0 + w2 delta_2, so the fixed point is the
+    # smaller root of w2 z^2 - z + w0, taken on the stored weights exactly
+    inputs = k2_near_critical(eps)
+    w0, w2 = (Fraction(inputs.p_tilde.prob(k)) for k in (0, 2))
+    disc = 1 - 4 * w0 * w2
+    assert disc > 0
+    with localcontext() as ctx:
+        ctx.prec = 80
+        root = Decimal(disc.numerator) / Decimal(disc.denominator)
+        exact = 2 * Decimal(w0.numerator) / Decimal(w0.denominator) / (1 + root.sqrt())
+    start = time.perf_counter()
+    eta = solve_eta_l(inputs)
+    elapsed = time.perf_counter() - start
+    assert type(eta) is float
+    assert abs(eta - float(exact)) <= conditioning_floor(eps)
+    assert elapsed < 0.05
+
+
+def test_solver_returns_exact_zero_root():
+    # every degree is at least 2 on both sides: G(0) = 0 is the smallest root
+    inputs = TheoryInputs.from_p_q(Pmf({2: 0.5, 3: 0.5}), Pmf({3: 1.0}))
+    assert inputs.q_tilde.gf_eval(inputs.p_tilde.gf_eval(0.0)) == 0.0
+    assert solve_eta_l(inputs) == 0.0
+    pred = giant_prediction(inputs)
+    assert pred.eta_l == 0.0
+    assert pred.xi_l == 1.0
+
+
+def test_solver_near_criticality_matches_decimal_oracle():
+    # p = (1 - a) delta_1 + a delta_k and q = (1 - b) delta_2 + b delta_m,
+    # with a chosen for criticality 1 + eps, eps log-uniform on [1e-9, 1e-2]
+    rng = np.random.default_rng(3101)
+    start = time.perf_counter()
+    for _ in range(50):
+        eps = 10.0 ** rng.uniform(-9.0, -2.0)
+        k, m = int(rng.integers(3, 7)), int(rng.integers(3, 6))
+        b = rng.uniform(0.05, 0.95)
+        q_tilde_mean = (2 * (1 - b) + b * m * (m - 1)) / (2 * (1 - b) + b * m)
+        target = (1 + eps) / q_tilde_mean  # E[p~] = a k (k - 1) / (1 - a + a k)
+        a = target / ((k - 1) * (k - target))
+        inputs = TheoryInputs.from_p_q(Pmf({1: 1 - a, k: a}), Pmf({2: 1 - b, m: b}))
+        exact = decimal_eta(
+            {v: Decimal(w) for v, w in inputs.p_tilde.as_dict().items()},
+            {v: Decimal(w) for v, w in inputs.q_tilde.as_dict().items()},
+        )
+        eta = solve_eta_l(inputs)
+        assert abs(eta - float(exact)) <= conditioning_floor(eps), (eps, k, m, b)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_degenerate_subcritical():
